@@ -1,31 +1,55 @@
 """Stable content fingerprints for nets and workload features.
 
 A cache entry must outlive the Python objects that produced it, so keys
-cannot use ``id()``, ``hash()`` (salted per process for strings), or
-``pickle`` (byte-level output varies across protocol/versions).  Instead we
-build a *canonical text encoding* of the net structure and the workload
-features, and hash it with SHA-256:
+cannot use ``id()`` or ``hash()`` (salted per process for strings).
+Instead every key is a SHA-256 digest of a *canonical byte encoding* of
+content:
 
+* **Workload features** — :func:`canonical_bytes` writes the value as a
+  ``pickle`` protocol-5 stream with no memo, so the C pickler does the
+  walk.  Exact builtins (``None``, ``bool``, ``int``, ``float``, ``str``,
+  ``bytes``, ``tuple``, ``list``, ``dict``, ``set``, ``frozenset``) get
+  type-distinct opcodes, so ``1``, ``1.0``, ``True``, ``"1"`` and
+  ``(1,)`` never collide and ``-0.0`` is not ``0.0``.  Every other
+  object is tagged by its class's ``__module__`` and ``__qualname__``
+  plus its content: an enum member's name (a flag's value), a
+  dataclass's field values, a numpy value's dtype, shape and bytes, a
+  builtin subclass's builtin value, a function's
+  :func:`callable_fingerprint`.  Without a memo, a value encodes the
+  same whether its sub-objects are shared or distinct.  Dicts are
+  written in insertion order and sets in iteration order: an equal value
+  built in another order gets another key, which costs a miss, never a
+  wrong hit.
 * **Nets** — every place (name, capacity) and transition (arcs, delay,
-  guard, servers, priority, timeout) is rendered in sorted order.  Delay and
-  guard callables are identified by their DSL source when the net came from
-  ``.pnet`` text (the compiled expression's ``.src``), else by their
-  compiled bytecode, constants, and closure values — so editing a formula
-  *changes the fingerprint* and invalidates cached results.
-* **Workload features** — plain data (numbers, strings, containers,
-  dataclasses, enums, numpy arrays) is encoded recursively with explicit
-  type tags, so ``1`` and ``1.0`` and ``True`` never collide.
+  guard, servers, priority, timeout) is rendered as text in sorted
+  order.  A delay or guard compiled from ``.pnet`` text is identified by
+  its DSL source (the expression's ``.src``); a Python callable by its
+  bytecode, constants, closure values and defaults, and transitively by
+  the globals it names: a helper function by its own fingerprint, a
+  plain-data constant by its canonical bytes, anything else (modules,
+  classes, opaque objects) by module and qualified name.  Editing a
+  formula, a helper it calls or a module constant it reads changes the
+  fingerprint and invalidates the cached results.
 
-Anything we cannot encode stably raises :class:`UncacheableError`; callers
-(see :class:`repro.perf.cache.EvalCache`) treat that as "simulate, don't
-cache" and count it, rather than guessing a key.
+The pickle stream is hashed, never unpickled.  Bytecode and pickle bytes
+may change between Python versions, which costs a miss, not a wrong hit.
+
+Anything without a stable encoding — opaque objects, C callables,
+cyclic or too deeply nested values — raises :class:`UncacheableError`;
+callers (see :class:`repro.perf.cache.EvalCache`) treat that as
+"simulate, don't cache" and count it, rather than guessing a key.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
+import io
+import pickle
+import types
+from collections.abc import Callable
 from dataclasses import fields, is_dataclass
+from operator import attrgetter
 from typing import Any
 
 from repro.petri.net import PetriNet, Transition
@@ -35,60 +59,145 @@ class UncacheableError(TypeError):
     """A value has no stable content encoding; do not cache results for it."""
 
 
-def encode(value: Any) -> str:
-    """Canonical text encoding of a workload-feature value.
+def _tagged(*_: Any) -> Any:
+    """The constructor every tagged object names in the stream."""
+    raise TypeError("canonical encodings are hashed, never unpickled")
+
+
+#: Preloaded into each pickler's memo: every tagged object then names
+#: ``_tagged`` with a two-byte memo reference instead of a global lookup.
+_PRESET_MEMO = {id(_tagged): (0, _tagged)}
+
+#: Builtin bases whose subclasses encode as their builtin value.
+_BUILTINS = (int, float, str, bytes, bytearray, tuple, list, dict, set, frozenset)
+
+_Handler = Callable[["_CanonicalPickler", Any], tuple]
+
+#: Handler per exact type, resolved on first sight by :func:`_resolve`.
+_HANDLERS: dict[type, _Handler] = {}
+
+
+class _CanonicalPickler(pickle.Pickler):
+    """Pickler whose every non-builtin object is tagged by the handler
+    of its exact type; ``active`` guards callable fingerprints against
+    cycles."""
+
+    def __init__(self, file: io.BytesIO, active: set[int]) -> None:
+        super().__init__(file, protocol=5)
+        self.fast = True  # no memo: shared and distinct sub-objects encode alike
+        self.memo = _PRESET_MEMO
+        self.active = active
+
+    def reducer_override(self, obj: Any) -> tuple:
+        cls = type(obj)
+        handler = _HANDLERS.get(cls) or _resolve(cls)
+        return handler(self, obj)
+
+
+def canonical_bytes(value: Any) -> bytes:
+    """Canonical byte encoding of a workload-feature value.
 
     Deterministic across processes and sessions; raises
-    :class:`UncacheableError` for values with unstable identity.
+    :class:`UncacheableError` for values with unstable identity and for
+    cyclic or too deeply nested ones.
     """
-    if value is None:
-        return "N"
-    if value is True:
-        return "T"
-    if value is False:
-        return "F"
-    if isinstance(value, int):
-        return f"i{value}"
-    if isinstance(value, float):
-        return f"f{value.hex()}"
-    if isinstance(value, str):
-        return f"s{len(value)}:{value}"
-    if isinstance(value, bytes):
-        return f"b{value.hex()}"
-    if isinstance(value, enum.Enum):
-        return f"e{type(value).__qualname__}.{value.name}"
-    if isinstance(value, (list, tuple)):
-        tag = "l" if isinstance(value, list) else "t"
-        return tag + "(" + ",".join(encode(v) for v in value) + ")"
-    if isinstance(value, (set, frozenset)):
-        return "S(" + ",".join(sorted(encode(v) for v in value)) + ")"
-    if isinstance(value, dict):
-        items = sorted((encode(k), encode(v)) for k, v in value.items())
-        return "d(" + ",".join(f"{k}={v}" for k, v in items) + ")"
-    if is_dataclass(value) and not isinstance(value, type):
-        body = ",".join(
-            f"{f.name}={encode(getattr(value, f.name))}" for f in fields(value)
-        )
-        return f"D{type(value).__qualname__}({body})"
-    # numpy arrays and scalars, without importing numpy here.
-    if hasattr(value, "tobytes") and hasattr(value, "dtype"):
-        shape = getattr(value, "shape", ())
-        return f"a{value.dtype}{shape}:{value.tobytes().hex()}"
-    if callable(value):
-        return callable_fingerprint(value)
+    return _encode(value, set())
+
+
+def _encode(value: Any, active: set[int]) -> bytes:
+    buf = io.BytesIO()
+    try:
+        _CanonicalPickler(buf, active).dump(value)
+    except (RecursionError, ValueError) as exc:
+        # RecursionError: nested past the interpreter's limit (or a cycle
+        # through objects); ValueError: the pickler's own cycle check.
+        raise UncacheableError(f"cannot encode a cyclic or too deep value: {exc}") from exc
+    return buf.getvalue()
+
+
+def _resolve(cls: type) -> _Handler:
+    """Pick (once per type) how instances of ``cls`` are tagged.
+
+    The tag is one string, the ``repr`` of the class's module and
+    qualified name (and a dataclass's field names): one opcode per
+    object, and unambiguous, since ``repr`` of a tuple of strings is.
+    """
+    tag = repr((cls.__module__, cls.__qualname__))
+    if issubclass(cls, enum.Flag):
+        # Composite flags have no single member name; the value is exact.
+        def handler(p, obj):
+            return _tagged, (tag, obj._value_)
+    elif issubclass(cls, enum.Enum):
+        def handler(p, obj):
+            return _tagged, (tag, obj._name_)
+    elif is_dataclass(cls):
+        names = tuple(f.name for f in fields(cls))
+        tag = repr((cls.__module__, cls.__qualname__, names))
+        get = attrgetter(*names) if names else _no_fields
+
+        def handler(p, obj):
+            return _tagged, (tag, get(obj))
+    elif hasattr(cls, "tobytes") and hasattr(cls, "dtype"):
+        # numpy arrays and scalars, without importing numpy here.
+        def handler(p, obj):
+            dtype = obj.dtype
+            if dtype.hasobject:  # object arrays hold pointers
+                return _reject(p, obj)
+            return _tagged, (tag, dtype.descr, obj.shape, obj.tobytes())
+    elif issubclass(cls, _BUILTINS) and cls not in _BUILTINS:
+        base = next(b for b in cls.__mro__ if b in _BUILTINS)
+
+        def handler(p, obj):
+            return _tagged, (tag, base(obj), getattr(obj, "__dict__", None) or None)
+    elif cls is types.CodeType:
+        def handler(p, obj):
+            return _tagged, (tag, _code_content(obj))
+    elif any("__call__" in vars(k) for k in cls.__mro__):
+        def handler(p, obj):
+            return _tagged, (tag, _fingerprint(obj, p.active))
+    else:
+        handler = _reject
+    _HANDLERS[cls] = handler
+    return handler
+
+
+def _no_fields(obj: Any) -> tuple:
+    return ()
+
+
+def _reject(p: _CanonicalPickler, obj: Any) -> tuple:
     raise UncacheableError(
-        f"cannot build a stable cache key for {type(value).__qualname__} value {value!r}"
+        f"cannot build a stable cache key for {type(obj).__qualname__} value {obj!r}"
     )
+
+
+def _code_content(code: types.CodeType) -> tuple:
+    """Bytecode, constants (nested code objects recurse through the
+    pickler), referenced names and argument names of a code object."""
+    consts = tuple(
+        # A frozenset literal's iteration order follows the hash seed;
+        # sort it.  Code constants are never lists, so a list marks it.
+        sorted(c, key=canonical_bytes) if type(c) is frozenset else c
+        for c in code.co_consts
+    )
+    args = code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
+    return code.co_code, consts, code.co_names, args
 
 
 def callable_fingerprint(fn: Any) -> str:
     """Content identity for a guard/delay callable.
 
     DSL-compiled expressions carry their source (``fn.src``); plain Python
-    functions are identified by bytecode + constants + names + closure
-    values + defaults.  Builtins / C callables have no inspectable content
-    and are rejected.
+    functions are identified by bytecode + constants + closure values +
+    defaults, plus the globals their code names: helper functions by
+    their own fingerprint (transitively), plain-data values by their
+    canonical bytes, anything else by module and qualified name.
+    Builtins / C callables have no inspectable content and are rejected.
     """
+    return _fingerprint(fn, set())
+
+
+def _fingerprint(fn: Any, active: set[int]) -> str:
     src = getattr(fn, "src", None)
     if isinstance(src, str):
         return f"src:{src}"
@@ -97,25 +206,59 @@ def callable_fingerprint(fn: Any) -> str:
         raise UncacheableError(
             f"callable {fn!r} has no source or code object to fingerprint"
         )
-    parts = [
-        code.co_code.hex(),
-        ",".join(encode(c) if not callable(c) else callable_fingerprint(c)
-                 for c in code.co_consts
-                 if not isinstance(c, type(code))),
-        ",".join(code.co_names),
-        ",".join(code.co_varnames[: code.co_argcount]),
-    ]
-    # Nested function constants (comprehensions, inner lambdas): hash their
-    # bytecode too, since co_consts skips raw code objects above.
-    inner = [c for c in code.co_consts if isinstance(c, type(code))]
-    parts.extend(c.co_code.hex() for c in inner)
-    closure = getattr(fn, "__closure__", None)
-    if closure:
-        parts.append("|".join(encode(cell.cell_contents) for cell in closure))
-    defaults = getattr(fn, "__defaults__", None)
-    if defaults:
-        parts.append(encode(defaults))
-    return "code:" + ":".join(parts)
+    ident = id(getattr(fn, "__func__", fn))
+    if ident in active:
+        # Recursion: the function's content is already being encoded
+        # further up this fingerprint.
+        return f"cycle:{getattr(fn, '__module__', None)}.{getattr(fn, '__qualname__', '')}"
+    active.add(ident)
+    try:
+        closure = getattr(fn, "__closure__", None) or ()
+        content = (
+            code,
+            tuple(cell.cell_contents for cell in closure),
+            getattr(fn, "__defaults__", None),
+            getattr(fn, "__kwdefaults__", None),
+            _globals_content(code, getattr(fn, "__globals__", {}), active),
+        )
+        return "code:" + hashlib.sha256(_encode(content, active)).hexdigest()
+    finally:
+        active.discard(ident)
+
+
+def _globals_content(code: types.CodeType, namespace: dict, active: set[int]) -> tuple:
+    """What the globals named by ``code`` (and its nested code) hold."""
+    out = []
+    for name in _referenced_names(code):
+        if name not in namespace:  # a builtin or an attribute name
+            continue
+        value = namespace[name]
+        if isinstance(value, types.FunctionType):
+            entry = _fingerprint(value, active)
+        elif isinstance(value, (type, types.ModuleType)):
+            entry = _qualified_name(value)
+        else:
+            try:
+                entry = _encode(value, active)
+            except UncacheableError:
+                entry = _qualified_name(value)
+        out.append((name, entry))
+    return tuple(out)
+
+
+def _referenced_names(code: types.CodeType) -> dict[str, None]:
+    names = dict.fromkeys(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names.update(_referenced_names(const))
+    return names
+
+
+def _qualified_name(value: Any) -> str:
+    if isinstance(value, types.ModuleType):
+        return f"module:{value.__name__}"
+    owner = value if hasattr(value, "__qualname__") else type(value)
+    return f"ref:{getattr(owner, '__module__', None)}.{owner.__qualname__}"
 
 
 def _transition_lines(t: Transition) -> list[str]:
@@ -154,10 +297,11 @@ def _transition_lines(t: Transition) -> list[str]:
 def net_fingerprint(net: PetriNet) -> str:
     """SHA-256 hex digest of the net's performance-relevant content.
 
-    Stable across processes; changes whenever any structural element or
-    any delay/guard formula changes.  Simulation *state* (markings, busy
-    counts, statistics) is deliberately excluded — the simulator resets it
-    at the start of every run, so it cannot affect results.
+    Stable across processes; changes whenever any structural element,
+    any delay/guard formula, or any helper or module constant such a
+    formula names changes.  Simulation *state* (markings, busy counts,
+    statistics) is deliberately excluded — the simulator resets it at
+    the start of every run, so it cannot affect results.
     """
     lines = [f"net {net.name}"]
     for name in sorted(net.places):
@@ -170,9 +314,9 @@ def net_fingerprint(net: PetriNet) -> str:
 
 
 def workload_key(features: Any) -> str:
-    """SHA-256 hex digest of canonical workload features.
+    """SHA-256 hex digest of the canonical bytes of workload features.
 
     Raises :class:`UncacheableError` when the features have no stable
-    encoding (opaque objects, C callables, ...).
+    encoding (opaque objects, C callables, cycles, ...).
     """
-    return hashlib.sha256(encode(features).encode()).hexdigest()
+    return hashlib.sha256(canonical_bytes(features)).hexdigest()

@@ -1,11 +1,16 @@
 """Append-only JSONL disk tier for :class:`repro.perf.cache.EvalCache`.
 
 The in-memory cache already uses content-addressed keys (SHA-256 of the
-net's canonical text + canonical workload features — see
+net's canonical text + the canonical bytes of the workload features — see
 :mod:`repro.perf.fingerprint`), which are stable across processes and
 sessions.  This module adds the missing half: a file two processes can
 share so that serving restarts and repeated sweeps warm-start instead of
-re-simulating.
+re-simulating.  A key covers the net's content, the helpers and module
+constants its Python formulas name, and the features by value, so an
+entry written before a code edit is simply not found after it.  When the
+key format itself changes, entries persisted under the old format are
+never found again either: each misses once, and the recomputed value is
+appended under its new key.
 
 Format: one JSON object per line, ``{"k": <key>, "v": <value>}``.  The
 design leans on three properties:
@@ -26,9 +31,10 @@ design leans on three properties:
   engine computed.  (Non-finite floats are refused: JSON has no
   portable encoding for them.)
 
-Values must be JSON-representable plain data; anything else (e.g. a
-``SimResult`` object) is *unspillable* — it stays in the in-memory tier
-and is counted, never guessed at.
+Values must be JSON-representable plain data of exact types; anything
+else (e.g. a ``SimResult`` object, or an ``IntEnum`` member that would
+come back as an ``int``) is *unspillable* — it stays in the in-memory
+tier and is counted, never guessed at.
 
 Duplicate keys are benign: two processes that simulate the same point
 concurrently both append, and replay keeps the last value — which is
@@ -47,17 +53,21 @@ logger = logging.getLogger("repro.perf.store")
 
 
 def spillable(value: Any) -> bool:
-    """True when ``value`` survives a JSON round-trip unchanged."""
-    if value is None or isinstance(value, (bool, int, str)):
+    """True when ``value`` survives a JSON round-trip unchanged.
+
+    Types are checked exactly: subclasses (an ``IntEnum`` member,
+    ``numpy.float64``, a ``str`` subclass) and tuples would come back as
+    their plain JSON type, equal but not the same.
+    """
+    kind = type(value)
+    if value is None or kind is bool or kind is int or kind is str:
         return True
-    if isinstance(value, float):
+    if kind is float:
         return math.isfinite(value)
-    if isinstance(value, (list, tuple)):
-        # Tuples come back as lists; only accept lists so the round
-        # trip preserves equality *and* type.
-        return isinstance(value, list) and all(spillable(v) for v in value)
-    if isinstance(value, dict):
-        return all(isinstance(k, str) and spillable(v) for k, v in value.items())
+    if kind is list:
+        return all(spillable(v) for v in value)
+    if kind is dict:
+        return all(type(k) is str and spillable(v) for k, v in value.items())
     return False
 
 

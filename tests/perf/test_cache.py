@@ -1,10 +1,20 @@
 """Cache layer: hit/miss accounting, key stability, invalidation."""
 
+import copy
+import enum
+import os
+import struct
 import subprocess
 import sys
+import types
+from collections import namedtuple
+from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.perf import EvalCache, UncacheableError, net_fingerprint, workload_key
 from repro.petri import PetriNet, parse
@@ -95,8 +105,59 @@ def test_simulation_state_does_not_affect_fingerprint():
 
 
 def test_workload_key_distinguishes_types():
-    keys = {workload_key(v) for v in (1, 1.0, True, "1", [1], (1,), {1})}
-    assert len(keys) == 7
+    values = (1, 1.0, True, "1", b"1", [1], (1,), {1}, frozenset({1}))
+    assert len({workload_key(v) for v in values}) == len(values)
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+class Perm(enum.Flag):
+    R = 1
+    W = 2
+    X = 4
+
+
+Pair = namedtuple("Pair", "a b")
+
+
+@pytest.mark.parametrize(
+    ("a", "b"),
+    [
+        (-0.0, 0.0),
+        (Level.LOW, 1),
+        (Pair(1, 2), (1, 2)),
+        (np.zeros(2, np.int32), np.zeros(1, np.int64)),
+        (np.float64(1.0), 1.0),
+        (np.array([1], ">i4"), np.array([1 << 24], "<i4")),  # same bytes
+    ],
+    ids=["signed-zero", "intenum", "namedtuple", "array-dtype", "numpy-scalar", "byte-order"],
+)
+def test_workload_key_tells_equal_looking_values_apart(a, b):
+    assert workload_key(a) != workload_key(b)
+
+
+def test_composite_flag_values_get_distinct_keys():
+    keys = {workload_key(v) for v in (Perm.R | Perm.W, Perm.R | Perm.X, Perm.R, Perm(0))}
+    assert len(keys) == 4
+    assert workload_key(Perm.R | Perm.W) == workload_key(Perm.W | Perm.R)
+
+
+def point_class(module: str):
+    @dataclass
+    class Point:
+        x: int
+
+    Point.__module__ = module
+    Point.__qualname__ = "Point"
+    return Point
+
+
+def test_same_qualname_dataclasses_from_different_modules_differ():
+    a, b = point_class("geometry.flat"), point_class("geometry.sphere")
+    assert workload_key(a(1)) != workload_key(b(1))
+    assert workload_key(a(1)) == workload_key(point_class("geometry.flat")(1))
 
 
 def test_workload_key_rejects_opaque_objects():
@@ -105,27 +166,272 @@ def test_workload_key_rejects_opaque_objects():
 
     with pytest.raises(UncacheableError):
         workload_key(Opaque())
+    with pytest.raises(UncacheableError):
+        workload_key([1, {"k": (Opaque(),)}])
+
+
+def test_shared_and_distinct_sub_objects_key_equal():
+    row = {"i": 0, "bytes": 68}
+    shared = [("in", row, 1.5), ("in", row, 1.5)]
+    distinct = [("in", {"i": 0, "bytes": 68}, 1.5), ("in", dict(row), 1.5)]
+    assert workload_key(shared) == workload_key(distinct)
+
+
+def nested(depth: int) -> list:
+    value: list = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@dataclass
+class Link:
+    to: object = None
+
+
+def self_linked() -> Link:
+    node = Link()
+    node.to = node
+    return node
+
+
+def self_listed() -> list:
+    value: list = [1]
+    value.append(value)
+    return value
+
+
+@pytest.mark.parametrize(
+    "make",
+    [self_listed, self_linked, lambda: nested(5000)],
+    ids=["cyclic-list", "cyclic-dataclass", "5k-deep"],
+)
+def test_cyclic_and_too_deep_features_compute_uncached(make):
+    cache = EvalCache()
+    calls = []
+    for _ in range(2):
+        assert cache.get_or_compute("ns", make(), lambda: calls.append(1) or 7) == 7
+    assert len(calls) == 2
+    assert cache.stats.uncacheable == 2 and cache.stats.lookups == 0
+
+
+def same(a, b) -> bool:
+    """Equal with the same types at every level, in the same order."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is float:
+        return struct.pack("<d", a) == struct.pack("<d", b)  # -0.0 is not 0.0
+    if type(a) in (list, tuple):
+        return len(a) == len(b) and all(map(same, a, b))
+    if type(a) is dict:
+        return same(list(a.items()), list(b.items()))
+    if type(a) in (set, frozenset):
+        return same(list(a), list(b))
+    return a == b
+
+
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=4)
+    | st.binary(max_size=4)
+)
+HASHABLE = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=3).map(tuple) | st.frozensets(inner, max_size=3),
+    max_leaves=6,
+)
+PLAIN = st.recursive(
+    SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=3)
+        | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(HASHABLE, inner, max_size=3)
+        | st.sets(HASHABLE, max_size=3)
+        | st.frozensets(HASHABLE, max_size=3)
+    ),
+    max_leaves=12,
+)
+
+
+@given(PLAIN, PLAIN)
+@settings(max_examples=200, deadline=None)
+def test_keys_equal_exactly_when_values_are_the_same(a, b):
+    assert (workload_key(a) == workload_key(b)) == same(a, b)
+
+
+@given(PLAIN)
+@settings(max_examples=100, deadline=None)
+def test_a_rebuilt_value_keys_like_the_original(a):
+    b = copy.deepcopy(a)
+    assert (workload_key(a) == workload_key(b)) == same(a, b)
+    assert workload_key(a) == workload_key(a)
+
+
+INJECTIONS = (
+    "makespan",
+    3,
+    [("in", {"i": i, "bytes": 68 + i, "wr": i % 2 == 0}, 150.0 * i) for i in range(3)],
+)
+
+# A Python formula whose code holds a set literal (a frozenset constant).
+SET_LITERAL_NET = """
+def set_literal_net():
+    net = PetriNet("kinds")
+    net.add_place("in")
+    net.add_place("out")
+    kinds = lambda c: c["in"][0].payload in {"read", "write", "scan", "seek", "sync"}
+    net.add_transition("t", ["in"], ["out"], delay=lambda c: 2.0 if kinds(c) else 1.0)
+    return net
+"""
 
 
 def test_key_stable_across_processes(tmp_path: Path):
     """The whole point of content addressing: a different process building
-    the same net from the same source computes the same key."""
+    the same net from the same source computes the same key, whatever its
+    string hash seed."""
     script = f"""
 import sys
 sys.path.insert(0, {str(Path("src").resolve())!r})
-from repro.perf import EvalCache
-from repro.petri import parse
+from repro.perf import EvalCache, net_fingerprint
+from repro.petri import PetriNet, parse
 cache = EvalCache()
 print(cache.key(parse({PNET!r}), {{"items": 10, "gap": 0.5}}))
+print(cache.key(parse({PNET!r}), {INJECTIONS!r}))
+{SET_LITERAL_NET}
+print(net_fingerprint(set_literal_net()))
 """
     runs = [
         subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, check=True
-        ).stdout.strip()
-        for _ in range(2)
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        ).stdout.split()
+        for seed in ("1", "2")
     ]
-    here = EvalCache().key(parse(PNET), {"items": 10, "gap": 0.5})
+    cache = EvalCache()
+    namespace = {"PetriNet": PetriNet}
+    exec(SET_LITERAL_NET, namespace)
+    here = [
+        cache.key(parse(PNET), {"items": 10, "gap": 0.5}),
+        cache.key(parse(PNET), INJECTIONS),
+        net_fingerprint(namespace["set_literal_net"]()),
+    ]
     assert runs[0] == runs[1] == here
+
+
+# ----------------------------------------------------------------------
+# Python-callable nets: helpers and module constants are part of the key
+# ----------------------------------------------------------------------
+
+HELPERS = """
+SCALE = {scale}
+
+
+def helper(n):
+    return n * SCALE{extra}
+
+
+def delay(consumed):
+    return helper(len(consumed["in"]))
+"""
+
+
+def helper_module(scale=2.0, extra=""):
+    module = types.ModuleType("helpers")
+    exec(HELPERS.format(scale=scale, extra=extra), module.__dict__)
+    return module
+
+
+def net_with_delay(delay) -> PetriNet:
+    net = PetriNet("edited")
+    net.add_place("in")
+    net.add_place("out")
+    net.add_transition("t", ["in"], ["out"], delay=delay)
+    return net
+
+
+def test_helper_body_and_module_constant_are_part_of_the_fingerprint():
+    base = net_fingerprint(net_with_delay(helper_module().delay))
+    assert base == net_fingerprint(net_with_delay(helper_module().delay))
+    assert base != net_fingerprint(net_with_delay(helper_module(extra=" + 1").delay))
+    assert base != net_fingerprint(net_with_delay(helper_module(scale=3.0).delay))
+
+
+def test_recursive_callables_fingerprint_without_looping():
+    module = types.ModuleType("recursive")
+    exec(
+        "def even(n):\n    return n == 0 or odd(n - 1)\n\n"
+        "def odd(n):\n    return n != 0 and even(n - 1)\n",
+        module.__dict__,
+    )
+
+    def make_countdown():
+        def countdown(consumed, n=3):
+            return 1.0 if n == 0 else countdown(consumed, n - 1)
+
+        return countdown
+
+    assert net_fingerprint(net_with_delay(module.even)) == net_fingerprint(
+        net_with_delay(module.even)
+    )
+    assert net_fingerprint(net_with_delay(make_countdown())) == net_fingerprint(
+        net_with_delay(make_countdown())
+    )
+
+
+CACHED_RUN = """
+import sys
+sys.dont_write_bytecode = True
+sys.path[:0] = [{src!r}, {modules!r}]
+from repro.perf import EvalCache
+from repro.petri import PetriNet, Simulator
+import helpers
+
+net = PetriNet("edited")
+net.add_place("in")
+net.add_place("out")
+net.add_transition("t", ["in"], ["out"], delay=helpers.delay)
+
+
+def compute():
+    sim = Simulator(net, sinks=["out"])
+    sim.inject_stream("in", [{{"x": 1}}])
+    return sim.run().makespan()
+
+
+cache = EvalCache({path!r})
+value = cache.get_or_compute(net, {{"items": 1}}, compute)
+print(cache.stats.hits, cache.stats.misses, value)
+"""
+
+
+def test_helper_edit_misses_the_persistent_tier(tmp_path: Path):
+    """A process that edits a delay's helper (or a constant it reads)
+    must not be served the latency cached before the edit."""
+    modules = tmp_path / "modules"
+    modules.mkdir()
+    script = CACHED_RUN.format(
+        src=str(Path("src").resolve()),
+        modules=str(modules),
+        path=str(tmp_path / "evals.jsonl"),
+    )
+
+    def run(scale, extra=""):
+        (modules / "helpers.py").write_text(HELPERS.format(scale=scale, extra=extra))
+        out = subprocess.run(
+            [sys.executable, "-B", "-c", script], capture_output=True, text=True, check=True
+        ).stdout.split()
+        return int(out[0]), int(out[1]), float(out[2])
+
+    assert run(2.0) == (0, 1, 2.0)
+    assert run(2.0) == (1, 0, 2.0)  # unchanged code: served from disk
+    assert run(2.0, extra=" + 1") == (0, 1, 3.0)  # helper body edited
+    assert run(5.0, extra=" + 1") == (0, 1, 6.0)  # module constant edited
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Persistent JSONL tier: round-trips, corruption recovery, concurrency."""
 
+import enum
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.perf import EvalCache, PersistentStore, spillable
@@ -37,6 +38,23 @@ def test_plain_data_is_spillable(value):
     ],
 )
 def test_non_roundtrippable_values_are_not_spillable(value):
+    assert not spillable(value)
+
+
+class Level(enum.IntEnum):
+    HIGH = 3
+
+
+class Tag(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value",
+    [Level.HIGH, np.float64(1.5), [1, np.float64(1.5)], {"k": Level.HIGH}, {Tag("k"): 1}],
+    ids=["intenum", "numpy-float", "in-list", "in-dict", "str-subclass-key"],
+)
+def test_subclasses_that_come_back_as_another_type_are_not_spillable(value):
     assert not spillable(value)
 
 
@@ -213,6 +231,16 @@ def test_eval_cache_counts_unspillable_values(tmp_path: Path):
     cache.put("ns", {"n": 1}, object())  # stays in-memory only
     assert cache.stats.unspillable == 1
     assert cache.get("ns", {"n": 1}) is not EvalCache.MISS
+    assert EvalCache(tmp_path / "evals.jsonl").get("ns", {"n": 1}) is EvalCache.MISS
+
+
+def test_eval_cache_keeps_subclass_values_in_memory(tmp_path: Path):
+    cache = EvalCache(tmp_path / "evals.jsonl")
+    cache.put("ns", {"n": 1}, Level.HIGH)
+    cache.put("ns", {"n": 2}, np.float64(1.5))
+    assert (cache.stats.spills, cache.stats.unspillable) == (0, 2)
+    assert cache.get("ns", {"n": 1}) is Level.HIGH
+    assert type(cache.get("ns", {"n": 2})) is np.float64
     assert EvalCache(tmp_path / "evals.jsonl").get("ns", {"n": 1}) is EvalCache.MISS
 
 
