@@ -115,7 +115,7 @@ def tokenize_message(msg: Message):
     ]
 
 
-def petri_interface(*, engine=None, cache=None, tracer=None):
+def petri_interface(*, cache=None, tracer=None):
     """Build the Petri-net interface (fresh net, reusable across items)."""
     from repro.core.petrinet import PetriNetInterface
     from repro.petri import parse
@@ -126,7 +126,6 @@ def petri_interface(*, engine=None, cache=None, tracer=None):
         tokenize=tokenize_message,
         sink="out",
         pnet_text=OPTIMUS_PNET,
-        engine=engine,
         cache=cache,
         tracer=tracer,
     )

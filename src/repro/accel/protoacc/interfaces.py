@@ -202,12 +202,12 @@ def _blob_stream_cost_own(msg: Message) -> float:
     )
 
 
-def petri_interface(*, engine=None, cache=None, tracer=None):
+def petri_interface(*, cache=None, tracer=None):
     """Build the Petri-net interface (fresh net, reusable across items).
 
-    ``engine``/``cache``/``tracer`` pass through to
+    ``cache``/``tracer`` pass through to
     :class:`~repro.core.petrinet.PetriNetInterface` — the pool runtime
-    runs this net on the compiled engine with a shared
+    prices requests through it with a shared
     :class:`~repro.perf.EvalCache` so routing stays cheap; a tracer
     makes each simulation's firings visible as ``petri.*`` spans.
     """
@@ -221,7 +221,6 @@ def petri_interface(*, engine=None, cache=None, tracer=None):
         sink="out",
         epilogue=PNET_EPILOGUE,
         pnet_text=PROTOACC_PNET,
-        engine=engine,
         cache=cache,
         tracer=tracer,
     )

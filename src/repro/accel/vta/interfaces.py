@@ -303,7 +303,7 @@ class VtaPetriInterface(PetriNetInterface[Program]):
         for inj in injections:
             if inj.payload.get("insn") is not None:
                 inj.payload["copy"] = inj.payload["idx"] // n
-        result = self._run(injections, expected=n * repeat)
+        result = self._run(injections, n * repeat, self.tracer)
         ends = [0.0] * repeat
         for completion in result.sink("out"):
             payload = completion.token.payload

@@ -18,10 +18,10 @@ from typing import TYPE_CHECKING, Any, Generic, TypeVar
 
 from repro.petri import (
     BatchEvaluator,
+    CompiledNet,
     PetriNet,
     SimResult,
     SimulationError,
-    default_engine,
     make_simulator,
 )
 
@@ -79,19 +79,27 @@ class PredictedDecomposition:
     transitions: dict[str, float]  # per-transition busy cycles
 
 
-def _exact_residual(prefix: list[float], total: float) -> float:
-    """Residual ``r`` with ``fold(prefix + [r]) == total`` bit-exactly
-    (float addition is not associative, so the first guess can be an
-    ulp off; nudge until the left-to-right fold lands).  Kept local —
-    ``repro.core`` sits below ``repro.obs`` in the dependency order, so
-    it cannot import the attribution module's twin."""
+def fold(values) -> float:
+    """Left-to-right accumulation from 0.0 — the association order the
+    bit-exact decomposition invariants are defined over (same as
+    builtin ``sum``)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
-    def fold(values) -> float:
-        acc = 0.0
-        for v in values:
-            acc += v
-        return acc
 
+def exact_residual(prefix: list[float], total: float) -> float:
+    """The residual ``r`` such that folding ``prefix + [r]`` left to
+    right yields *exactly* ``total``.
+
+    ``total - fold(prefix)`` is only the first guess: float addition is
+    not associative, so adding the guess back can land one ulp off.
+    The nudge loop feeds the remaining gap back into the residual until
+    the fold is bit-exact (converges in a couple of iterations for
+    finite inputs; bounded so a pathological input cannot spin).
+    Shared by :meth:`PetriNetInterface.predict_decomposition` and
+    :mod:`repro.obs.attribution`."""
     residual = total - fold(prefix)
     for _ in range(64):
         current = fold(prefix) + residual
@@ -107,7 +115,9 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
     Args:
         accelerator: Name of the accelerator described.
         net_factory: Builds the net (called once; the simulator resets
-            marking between runs).
+            marking between runs).  The net is lowered on first use and
+            the lowering is kept, so build a new interface rather than
+            mutating ``self.net`` after evaluating with it.
         tokenize: Maps a workload item to the tokens to inject.
         sink: Place whose completions mark finished work.
         epilogue: Fixed cycles appended after the last completion
@@ -116,18 +126,18 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
             produce.  Defaults to the number of injected tokens; nets
             with resident bookkeeping tokens (mutexes, credits) override
             this, since those legitimately remain after quiescence.
-        engine: Simulation engine — ``"auto"`` (compiled when supported,
-            with a documented fallback), ``"reference"``, or
-            ``"compiled"``.  ``None`` defers to the
-            ``REPRO_PETRI_ENGINE`` environment variable / the default.
-        cache: Optional :class:`repro.perf.EvalCache`: identical
-            (net, injections) evaluations are served from the cache
-            instead of re-simulated.  May also be attached later by
-            assigning to ``self.cache``.
-        tracer: Optional :class:`repro.obs.Tracer`: simulations emit
-            per-firing spans into it (see :mod:`repro.petri.simulate`).
-            Cache *hits* skip the simulation entirely and therefore
-            emit no spans — the trace shows work actually done.
+        cache: Optional :class:`repro.perf.EvalCache`: each item's
+            makespan is stored under its (net, injections) key, so a
+            repeated item — through :meth:`latency` or
+            :meth:`evaluate_batch` alike — is answered without running
+            the net.  May also be attached later by assigning to
+            ``self.cache``.
+        tracer: Optional :class:`repro.obs.Tracer`: while it is enabled,
+            evaluations run one item at a time and emit per-firing spans
+            into it (see :mod:`repro.petri.simulate`).  Cache *hits*
+            skip the simulation entirely and therefore emit no spans —
+            the trace shows work actually done.  A disabled tracer
+            counts as none.
     """
 
     representation = "petri-net"
@@ -142,7 +152,6 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
         epilogue: float = 0.0,
         pnet_text: str | None = None,
         expected_completions: Callable[[ItemT], int] | None = None,
-        engine: str | None = None,
         cache: "EvalCache | None" = None,
         tracer=None,
     ):
@@ -153,47 +162,55 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
         self.epilogue = epilogue
         self.pnet_text = pnet_text
         self._expected = expected_completions
-        self.engine = engine
         self.cache = cache
         self.tracer = tracer
-        # Lazily-built batch evaluator (False = not yet tried,
-        # None = tried and unsupported).  Built only when a batch
-        # actually misses the cache, so a warm-cache process never
-        # constructs an engine at all.
+        # The net's one lowering and the batch engine over it, each
+        # built on first use (False = not yet tried, None = the net
+        # cannot be compiled / batch-evaluated).  A warm-cache process
+        # never builds either.
+        self._compiled: CompiledNet | None | bool = False
         self._batch: BatchEvaluator | None | bool = False
 
-    def _run(self, injections: Sequence[Injection], expected: int) -> SimResult:
-        def compute() -> SimResult:
-            sim = make_simulator(
-                self.net, sinks=(self.sink,), engine=self.engine, tracer=self.tracer
-            )
-            for inj in injections:
-                sim.inject(inj.place, inj.payload, at=inj.at)
-            result = sim.run()
-            done = len(result.completions[self.sink])
-            if done != expected:
-                raise RuntimeError(
-                    f"net {self.net.name!r} completed {done}/{expected} tokens; "
-                    f"stuck marking: { {p: n for p, n in self.net.marking().items() if n} }"
-                )
-            return result
+    def _expected_count(self, item: ItemT, injections: Sequence[Injection]) -> int:
+        return self._expected(item) if self._expected is not None else len(injections)
 
-        if self.cache is None:
-            return compute()
-        features = (expected, [(i.place, i.payload, i.at) for i in injections])
-        return self.cache.get_or_compute(self.net, features, compute)
+    def _compiled_net(self) -> CompiledNet | None:
+        if self._compiled is False:
+            try:
+                self._compiled = CompiledNet(self.net)
+            except SimulationError:
+                self._compiled = None
+        return self._compiled  # type: ignore[return-value]
+
+    def _run(
+        self, injections: Sequence[Injection], expected: int, tracer
+    ) -> SimResult:
+        """One per-item simulation on the interface's lowered net (the
+        reference engine when the net cannot be compiled), checked for
+        ``expected`` sink completions."""
+        sim = make_simulator(
+            self.net, sinks=(self.sink,), compiled=self._compiled_net(), tracer=tracer
+        )
+        for inj in injections:
+            sim.inject(inj.place, inj.payload, at=inj.at)
+        result = sim.run()
+        done = len(result.completions[self.sink])
+        if done != expected:
+            raise RuntimeError(
+                f"net {self.net.name!r} completed {done}/{expected} tokens; "
+                f"stuck marking: { {p: n for p, n in self.net.marking().items() if n} }"
+            )
+        return result
 
     def simulate(self, item: ItemT) -> SimResult:
-        """Run the net on one item and return the raw result."""
+        """Run the net on one item and return the raw result (uncached;
+        an attached tracer records the firings)."""
         injections = self.tokenize(item)
-        expected = (
-            self._expected(item) if self._expected is not None else len(injections)
-        )
-        return self._run(injections, expected)
+        return self._run(injections, self._expected_count(item, injections), self.tracer)
 
     def latency(self, item: ItemT) -> float:
-        result = self.simulate(item)
-        return result.makespan() + self.epilogue
+        """A batch of one: see :meth:`evaluate_batch`."""
+        return self.evaluate_batch((item,))[0]
 
     def predict_decomposition(
         self,
@@ -214,9 +231,7 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
         to the persistent cache tier like makespans do).
         """
         injections = self.tokenize(item)
-        expected = (
-            self._expected(item) if self._expected is not None else len(injections)
-        )
+        expected = self._expected_count(item, injections)
         features = (
             "stages",
             expected,
@@ -234,19 +249,7 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
             # answered from the makespan cache without running the net,
             # and a cache hit leaves busy_time stale.  run() resets the
             # net first, so post-run busy_time IS this run's harvest.
-            sim = make_simulator(
-                self.net, sinks=(self.sink,), engine=self.engine, tracer=None
-            )
-            for inj in injections:
-                sim.inject(inj.place, inj.payload, at=inj.at)
-            result = sim.run()
-            done = len(result.completions[self.sink])
-            if done != expected:
-                raise RuntimeError(
-                    f"net {self.net.name!r} completed {done}/{expected} tokens; "
-                    f"stuck marking: { {p: n for p, n in self.net.marking().items() if n} }"
-                )
-            makespan = result.makespan()
+            makespan = self._run(injections, expected, None).makespan()
             per_transition = {
                 n: t.busy_time for n, t in self.net.transitions.items()
             }
@@ -268,7 +271,7 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
             stage = classify(name)
             folded[stage] = folded.get(stage, 0.0) + cycles
         folded["epilogue"] = self.epilogue
-        folded["overlap"] = _exact_residual(list(folded.values()), total)
+        folded["overlap"] = exact_residual(list(folded.values()), total)
         return PredictedDecomposition(
             accelerator=self.accelerator,
             total=total,
@@ -289,74 +292,76 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
     def _batch_engine(self) -> BatchEvaluator | None:
         if self._batch is False:
             try:
-                self._batch = BatchEvaluator(self.net, (self.sink,))
+                self._batch = BatchEvaluator(
+                    self.net, (self.sink,), compiled=self._compiled_net()
+                )
             except SimulationError:
-                self._batch = None
-        return self._batch if isinstance(self._batch, BatchEvaluator) else None
+                self._batch = None  # the per-item path runs (and reports) it
+        return self._batch  # type: ignore[return-value]
 
     def evaluate_batch(self, items: Sequence[ItemT]) -> list[float]:
-        """Latency for every item through the batch engine.
+        """Latency for every item — the interface's one evaluation path
+        (:meth:`latency` is a batch of one).
 
-        The net is lowered once and all cache misses run in a single
-        pass — bit-identical per item to the compiled engine (enforced
-        by ``repro.petri.differential``).  Falls back to the per-item
-        path when the engine choice is pinned (``engine=`` or
-        ``$REPRO_PETRI_ENGINE`` set to ``reference``/``compiled``), when
-        a tracer is attached (the batch engines emit no spans, and a
-        trace must show the work done), or when the net uses features
-        the compiled form does not support.
-
-        With a cache attached, makespans are cached under a dedicated
-        ``("makespan", ...)`` feature key whose values are plain floats
-        — so they spill to a persistent tier and a warm process answers
-        the whole batch with zero engine invocations.
+        With a cache attached, each item's makespan is looked up under a
+        ``("makespan", ...)`` feature key whose values are plain floats,
+        so they spill to a persistent tier and a warm process answers
+        the whole batch with zero engine invocations.  The misses run in
+        one pass of the batch engine over the interface's lowered net —
+        bit-identical per item to the compiled engine (enforced by
+        ``repro.petri.differential``) — and are stored under that key.
+        They run one item at a time instead while an enabled tracer is
+        attached (the batch engines emit no spans, and a trace must
+        show the work done) or when the net uses features the compiled
+        form does not support.
         """
-        engine = self.engine if self.engine is not None else default_engine()
-        if engine != "auto" or self.tracer is not None:
-            return [self.latency(item) for item in items]
-        injections = [self.tokenize(item) for item in items]
-        expecteds = [
-            self._expected(item) if self._expected is not None else len(injs)
-            for item, injs in zip(items, injections)
-        ]
-        out: list[float | None] = [None] * len(items)
-        misses: list[int] = []
-        feats: list[Any] = [None] * len(items)
-        if self.cache is not None:
-            for i, injs in enumerate(injections):
-                feats[i] = (
+        cache = self.cache
+        out: list[float | None] = []
+        misses: list[tuple[int, Sequence[Injection], int, Any]] = []
+        for item in items:
+            injections = self.tokenize(item)
+            expected = self._expected_count(item, injections)
+            features = None
+            if cache is not None:
+                features = (
                     "makespan",
-                    expecteds[i],
-                    [(inj.place, inj.payload, inj.at) for inj in injs],
+                    expected,
+                    [(inj.place, inj.payload, inj.at) for inj in injections],
                 )
-                hit = self.cache.get(self.net, feats[i])
-                if hit is self.cache.MISS:
-                    misses.append(i)
-                else:
-                    out[i] = hit + self.epilogue
-        else:
-            misses = list(range(len(items)))
-        if misses:
-            evaluator = self._batch_engine()
-            if evaluator is None:
-                # Unsupported net: the per-item path (with its own
-                # reference-engine fallback) handles these items.
-                for i in misses:
-                    out[i] = self.latency(items[i])
-                return out  # type: ignore[return-value]
-            results = evaluator.evaluate([injections[i] for i in misses])
-            for i, res in zip(misses, results):
-                done = res.counts.get(self.sink, 0)
-                if done != expecteds[i]:
-                    # Re-run the stuck item per-item: _run raises the
-                    # canonical completed-n/m error with the marking.
-                    res_full = self._run(injections[i], expecteds[i])
-                    out[i] = res_full.makespan() + self.epilogue
+                hit = cache.get(self.net, features)
+                if hit is not cache.MISS:
+                    out.append(hit + self.epilogue)
                     continue
-                if self.cache is not None and feats[i] is not None:
-                    self.cache.put(self.net, feats[i], res.makespan)
-                out[i] = res.makespan + self.epilogue
+            misses.append((len(out), injections, expected, features))
+            out.append(None)
+        if misses:
+            makespans = self._makespans([(injs, n) for _, injs, n, _ in misses])
+            for (i, _, _, features), makespan in zip(misses, makespans, strict=True):
+                if features is not None:
+                    cache.put(self.net, features, makespan)
+                out[i] = makespan + self.epilogue
         return out  # type: ignore[return-value]
+
+    def _makespans(self, runs: list[tuple[Sequence[Injection], int]]) -> list[float]:
+        """Makespans of ``(injections, expected)`` runs: one batch-engine
+        pass, or one simulation per run while an enabled tracer is
+        attached or the net has no batch engine."""
+        tracer = self.tracer
+        if tracer is not None and not getattr(tracer, "enabled", True):
+            tracer = None
+        evaluator = self._batch_engine() if tracer is None else None
+        if evaluator is None:
+            return [self._run(injs, n, tracer).makespan() for injs, n in runs]
+        results = evaluator.evaluate([injs for injs, _ in runs])
+        makespans = []
+        for (injs, expected), res in zip(runs, results, strict=True):
+            if res.counts.get(self.sink, 0) != expected:
+                # The per-item run raises the canonical completed-n/m
+                # error with the stuck marking.
+                makespans.append(self._run(injs, expected, None).makespan())
+            else:
+                makespans.append(res.makespan)
+        return makespans
 
     def describe(self) -> str:
         n_places = len(self.net.places)

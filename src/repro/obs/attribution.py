@@ -33,6 +33,8 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Any, NamedTuple
 
+from repro.core.petrinet import exact_residual, fold
+
 if TYPE_CHECKING:
     from repro.runtime.serving import ServeResult
 
@@ -79,7 +81,7 @@ class LatencyAttribution(NamedTuple):
     def total(self) -> float:
         """Left-to-right sum of the segments; bit-equal to
         :attr:`end_to_end` by construction."""
-        return _fold(s.cycles for s in self.segments)
+        return fold(s.cycles for s in self.segments)
 
     def stages(self) -> dict[str, float]:
         """Cycles per stage label (segments folded)."""
@@ -94,33 +96,6 @@ class LatencyAttribution(NamedTuple):
             if s.name == name:
                 return s.cycles
         return 0.0
-
-
-def _fold(values) -> float:
-    """Left-to-right accumulation from 0.0 — the exact association
-    order the invariant is defined over (same as builtin ``sum``)."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
-
-
-def exact_residual(prefix: list[float], total: float) -> float:
-    """The residual ``r`` such that folding ``prefix + [r]`` left to
-    right yields *exactly* ``total``.
-
-    ``total - fold(prefix)`` is only the first guess: float addition is
-    not associative, so adding the guess back can land one ulp off.
-    The nudge loop feeds the remaining gap back into the residual until
-    the fold is bit-exact (converges in a couple of iterations for
-    finite inputs; bounded so a pathological input cannot spin)."""
-    residual = total - _fold(prefix)
-    for _ in range(64):
-        current = _fold(prefix) + residual
-        if current == total:
-            return residual
-        residual += total - current
-    return residual
 
 
 def _build_segments(
@@ -285,7 +260,7 @@ def attribute(
                 backoffs.get(device_name), o_start, o_end
             ):
                 backoff_sum += _e - _s
-            hop_stall = _fold(
+            hop_stall = fold(
                 e - s
                 for s, e, _a in _pop_contained(stalls.get(device_name), o_start, o_end)
             )

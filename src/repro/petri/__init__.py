@@ -53,7 +53,6 @@ from .compiled import (
     ENGINES,
     CompiledNet,
     CompiledSimulator,
-    default_engine,
     make_simulator,
     supports,
     unsupported_features,
@@ -111,7 +110,6 @@ __all__ = [
     "codegen_supported",
     "covers_all_positive",
     "default_batch_engine",
-    "default_engine",
     "find_cycles",
     "incidence_matrix",
     "make_simulator",

@@ -25,11 +25,11 @@ net in a single pass.  Two engines, selected per net:
   Python specialized to the net — no event heap, no deques, no Token
   churn — and executed per item.
 
-* **columnar** — the general fallback: the compiled event loop over
-  flat arc tuples, but with the lowering, wake masks, guard slots and
-  sink tables hoisted out of the per-item path and the per-item
-  products (``SimResult``, ``Completion``, write-back, tracer branch)
-  stripped to plain floats and counters.
+* **columnar** — the general fallback: the compiled engine's own
+  :class:`~repro.petri.compiled.EventLoop`, built once per net with its
+  wake masks, guard slots and sink tables, run per item without a
+  tracer or net write-back, its completions reduced to a makespan and
+  per-sink counts.
 
 Both engines are **bit-identical** to :class:`CompiledSimulator` per
 item — same completion times, fired counts, deadlock flags, and error
@@ -46,17 +46,14 @@ engines).
 from __future__ import annotations
 
 import os
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import Any
 
 from .compiled import CompiledNet, unsupported_features
 from .dsl import _SAFE_GLOBALS
-from .errors import CapacityError, DefinitionError, SimulationError
+from .errors import DefinitionError, SimulationError
 from .net import PetriNet
-from .simulate import Simulator
 from .token import Token, _token_ids
 
 #: Batch engine selector values (``auto`` = codegen when the net is a
@@ -66,8 +63,6 @@ BATCH_ENGINES: tuple[str, ...] = ("auto", "codegen", "columnar")
 #: Environment override for the default batch engine (the differential
 #: harness forces each engine in turn through this).
 BATCH_ENGINE_ENV_VAR = "REPRO_PETRI_BATCH_ENGINE"
-
-_COMPLETE, _FAIL = 1, 2
 
 
 def default_batch_engine() -> str:
@@ -152,15 +147,40 @@ class ChainSpec:
     out_caps: tuple[int | None, ...]  # capacity of each stage's output place
 
 
-def chain_unsupported_reasons(net: PetriNet, sinks: Sequence[str] = ("out",)) -> list[str]:
-    """Why the codegen engine cannot run ``net`` (empty list = it can)."""
+def chain_unsupported_reasons(
+    net: PetriNet, sinks: Sequence[str] = ("out",), *, compiled: CompiledNet | None = None
+) -> list[str]:
+    """Why the codegen engine cannot run ``net`` (empty list = it can).
+
+    ``compiled`` reuses an existing lowering of ``net``.
+    """
+    walk = _walk_chain(net, sinks, compiled)
+    return walk if isinstance(walk, list) else []
+
+
+def chain_spec(
+    net: PetriNet, sinks: Sequence[str] = ("out",), *, compiled: CompiledNet | None = None
+) -> ChainSpec | None:
+    """The :class:`ChainSpec` for ``net``, or ``None`` when unsupported.
+
+    ``compiled`` reuses an existing lowering of ``net``.
+    """
+    walk = _walk_chain(net, sinks, compiled)
+    return walk if isinstance(walk, ChainSpec) else None
+
+
+def _walk_chain(
+    net: PetriNet, sinks: Sequence[str], compiled: CompiledNet | None
+) -> list[str] | ChainSpec:
+    """The codegen checks and the entry->sink walk, done once: the
+    reasons the net is unsupported, or its :class:`ChainSpec`."""
     reasons = unsupported_features(net)
     if reasons:
         return reasons
     if len(sinks) != 1:
         return [f"codegen needs exactly one sink (got {list(sinks)!r})"]
     sink = sinks[0]
-    c = CompiledNet(net)
+    c = compiled if compiled is not None else CompiledNet(net)
     n_places = len(c.place_names)
     # Per-transition shape checks.
     for ti, name in enumerate(c.t_names):
@@ -229,27 +249,9 @@ def chain_unsupported_reasons(net: PetriNet, sinks: Sequence[str] = ("out",)) ->
         return ["net has transitions outside the entry->sink chain"]
     if len(seen_places) != n_places:
         return ["net has places outside the entry->sink chain"]
-    return []
-
-
-def chain_spec(net: PetriNet, sinks: Sequence[str] = ("out",)) -> ChainSpec | None:
-    """The :class:`ChainSpec` for ``net``, or ``None`` when unsupported."""
-    if chain_unsupported_reasons(net, sinks):
-        return None
-    c = CompiledNet(net)
-    sink_idx = c.place_index[sinks[0]]
-    entry = next(
-        i for i in range(len(c.place_names)) if not c.producers[i] and c.consumers[i]
-    )
-    order: list[int] = []
-    place = entry
-    while place != sink_idx:
-        ti = c.consumers[place][0]
-        order.append(ti)
-        place = c.t_out[ti][0][0]
     return ChainSpec(
         entry=c.place_names[entry],
-        sink=sinks[0],
+        sink=sink,
         stage_names=tuple(c.t_names[ti] for ti in order),
         in_names=tuple(c.t_in_names[ti][0] for ti in order),
         delay_consts=tuple(c.t_delay_const[ti] for ti in order),
@@ -419,441 +421,6 @@ class _CodegenRunner:
 
 
 # ----------------------------------------------------------------------
-# Columnar engine: the compiled event loop, amortized
-# ----------------------------------------------------------------------
-
-
-class _ColumnarRunner:
-    """Per-item event loop with every per-net cost hoisted out.
-
-    The loop body mirrors :meth:`CompiledSimulator.run` — the parity
-    contract depends on it — minus tracer branches, ``Completion``/
-    ``SimResult`` construction, and net write-back.  Completion times
-    are plain floats; fired counts plain ints.
-    """
-
-    MAX_FIRINGS_PER_INSTANT = Simulator.MAX_FIRINGS_PER_INSTANT
-
-    def __init__(self, compiled: CompiledNet, sinks: Sequence[str]):
-        self.c = compiled
-        self.sinks = list(sinks)
-        c = compiled
-        for s in sinks:
-            if s not in c.place_index:
-                raise SimulationError(
-                    f"sink {s!r} is not a place of net {c.net.name!r}"
-                )
-        sink_set = {c.place_index[s] for s in sinks}
-        #: per-place: sink slot index or -1.
-        self.sink_slot = [
-            self.sinks.index(c.place_names[p]) if p in sink_set else -1
-            for p in range(len(c.place_names))
-        ]
-        # Same wake/guard precomputation as CompiledSimulator.run, but
-        # per *net* instead of per item.
-        self.wake_done: list[int] = []
-        self.guard_slots: list[list[Token | None] | None] = []
-        self.guard_dicts: list[dict[str, list[Token | None]] | None] = []
-        for ti in range(len(c.t_names)):
-            ow = c.t_outw[ti]
-            if ow is None:
-                self.wake_done.append(1 << ti)
-            else:
-                p, _ = ow
-                base = (
-                    c.producers_mask[p]
-                    if self.sink_slot[p] >= 0
-                    else c.consumers_mask[p]
-                )
-                self.wake_done.append(base | (1 << ti))
-            fast = c.t_fast[ti]
-            if fast is not None and fast[1] == 1 and (
-                fast[5] is not None or fast[6] is not None
-            ):
-                slot: list[Token | None] = [None]
-                self.guard_slots.append(slot)
-                self.guard_dicts.append({fast[4]: slot})
-            else:
-                self.guard_slots.append(None)
-                self.guard_dicts.append(None)
-
-    def run_item(
-        self, injections: list[tuple[int, Any, float]], collect: bool
-    ) -> BatchItemResult:
-        """One quiescent run.  ``injections`` are ``(place_idx, payload,
-        at)`` triples in injection order."""
-        c = self.c
-        n_places = len(c.place_names)
-        n_trans = len(c.t_names)
-        sink_slot = self.sink_slot
-
-        tokens: list[deque[Token]] = [deque() for _ in range(n_places)]
-        reserved = [0] * n_places
-        busy = [0] * n_trans
-        fire_count = [0] * n_trans
-        comp_counts = [0] * len(self.sinks)
-        comp_times: list[list[float]] | None = (
-            [[] for _ in self.sinks] if collect else None
-        )
-        last_completion = 0.0
-
-        events: list[tuple[float, int, int, int, Token | None, float]] = []
-        seq = 0
-        now = 0.0
-        dirty = 0
-
-        t_in, t_out = c.t_in, c.t_out
-        t_in_names = c.t_in_names
-        t_delay_const, t_delay_fn = c.t_delay_const, c.t_delay_fn
-        t_guard, t_servers = c.t_guard, c.t_servers
-        t_timeout_after, t_timeout_place = c.t_timeout_after, c.t_timeout_place
-        consumers_mask, producers_mask = c.consumers_mask, c.producers_mask
-        capacity = c.capacity
-        place_names = c.place_names
-        t_names = c.t_names
-        t_wake_fire, t_fast = c.t_wake_fire, c.t_fast
-        t_out1, t_outw = c.t_out1, c.t_outw
-        wake_done = self.wake_done
-        guard_slots, guard_dicts = self.guard_slots, self.guard_dicts
-        new_token = Token.__new__
-        next_uid = _token_ids.__next__
-        net_name = c.net.name
-
-        # Materialize tokens in injection order (uid order) then order
-        # by arrival, exactly like CompiledSimulator's (at, uid) sort.
-        inj: list[tuple[float, int, Token]] = []
-        for place_idx, payload, at in injections:
-            if isinstance(payload, Token):
-                token = payload
-            else:
-                token = new_token(Token)
-                token.payload = payload
-                token.born = None
-                token.uid = next_uid()
-                token.trace = None
-            inj.append((at, place_idx, token))
-        # Same (at, uid) arrival order as CompiledSimulator's side list.
-        inj.sort(key=lambda e: (e[0], e[2].uid))
-        first_injection = inj[0][0] if inj else None
-        if inj and inj[0][0] < now:
-            raise SimulationError(
-                f"event scheduled in the past ({inj[0][0]} < {now})"
-            )
-        inj_i, inj_n = 0, len(inj)
-
-        budget = self.MAX_FIRINGS_PER_INSTANT
-
-        def fire_all() -> None:
-            nonlocal seq, dirty
-            fired = 0
-            while dirty:
-                batch = dirty
-                dirty = 0
-                while batch:
-                    low = batch & -batch
-                    batch -= low
-                    ti = low.bit_length() - 1
-                    fast = t_fast[ti]
-                    if fast is not None:
-                        dq = tokens[fast[0]]
-                        if len(dq) < fast[1]:
-                            continue
-                        servers = t_servers[ti]
-                        if servers is not None and busy[ti] >= servers:
-                            continue
-                        if fast[9]:
-                            p_out = fast[2]
-                            delay_c = fast[7]
-                            wake = fast[8]
-                            cap = capacity[p_out]
-                            out_dq = tokens[p_out]
-                            while (
-                                dq
-                                and (servers is None or busy[ti] < servers)
-                                and (
-                                    cap is None
-                                    or cap - len(out_dq) - reserved[p_out] >= 1
-                                )
-                            ):
-                                first = dq.popleft()
-                                reserved[p_out] += 1
-                                dirty |= wake
-                                busy[ti] += 1
-                                fire_count[ti] += 1
-                                fired += 1
-                                if fired > budget:
-                                    raise SimulationError(
-                                        f"net {net_name!r}: more than {budget} "
-                                        f"firings at t={now}; likely a zero-delay loop"
-                                    )
-                                heappush(
-                                    events,
-                                    (now + delay_c, seq, _COMPLETE, ti, first, now),
-                                )
-                                seq += 1
-                            continue
-                        _, w_in, p_out, w_out, in_name, guard, delay_fn, delay_c, wake, _ = fast
-                        cap = capacity[p_out]
-                        out_dq = tokens[p_out]
-                        while (
-                            len(dq) >= w_in
-                            and (servers is None or busy[ti] < servers)
-                            and (
-                                cap is None
-                                or cap - len(out_dq) - reserved[p_out] >= w_out
-                            )
-                        ):
-                            if guard is not None or delay_fn is not None:
-                                slot = guard_slots[ti]
-                                if slot is not None:
-                                    slot[0] = dq[0]
-                                    consumed = guard_dicts[ti]
-                                else:
-                                    consumed = {
-                                        in_name: [dq[i] for i in range(w_in)]
-                                    }
-                                if guard is not None and not guard(consumed):
-                                    break
-                            first = dq.popleft()
-                            if w_in != 1:
-                                for _ in range(w_in - 1):
-                                    dq.popleft()
-                            reserved[p_out] += w_out
-                            dirty |= wake
-                            if delay_fn is None:
-                                delay = delay_c
-                            else:
-                                delay = float(delay_fn(consumed))
-                                if delay < 0:
-                                    raise DefinitionError(
-                                        f"transition {t_names[ti]!r} computed "
-                                        "a negative delay"
-                                    )
-                            busy[ti] += 1
-                            fire_count[ti] += 1
-                            fired += 1
-                            if fired > budget:
-                                raise SimulationError(
-                                    f"net {net_name!r}: more than {budget} "
-                                    f"firings at t={now}; likely a zero-delay loop"
-                                )
-                            heappush(
-                                events, (now + delay, seq, _COMPLETE, ti, first, now)
-                            )
-                            seq += 1
-                        continue
-                    servers = t_servers[ti]
-                    guard = t_guard[ti]
-                    delay_fn = t_delay_fn[ti]
-                    ins = t_in[ti]
-                    outs = t_out[ti]
-                    while True:
-                        if servers is not None and busy[ti] >= servers:
-                            break
-                        enabled = True
-                        for p, w in ins:
-                            if len(tokens[p]) < w:
-                                enabled = False
-                                break
-                        if enabled:
-                            for p, w in outs:
-                                cap = capacity[p]
-                                if (
-                                    cap is not None
-                                    and cap - len(tokens[p]) - reserved[p] < w
-                                ):
-                                    enabled = False
-                                    break
-                        if not enabled:
-                            break
-                        consumed = None
-                        if guard is not None or delay_fn is not None:
-                            names = t_in_names[ti]
-                            consumed = {}
-                            for (p, w), name in zip(ins, names, strict=True):
-                                dq = tokens[p]
-                                consumed[name] = (
-                                    [dq[0]] if w == 1 else [dq[i] for i in range(w)]
-                                )
-                            if guard is not None and not guard(consumed):
-                                break
-                        first = None
-                        for p, w in ins:
-                            dq = tokens[p]
-                            if len(dq) < w:
-                                raise ValueError(
-                                    f"place {place_names[p]!r} holds fewer than "
-                                    f"{w} tokens"
-                                )
-                            if first is None:
-                                first = dq[0]
-                            for _ in range(w):
-                                dq.popleft()
-                        for p, w in outs:
-                            reserved[p] += w
-                        dirty |= t_wake_fire[ti]
-                        delay = (
-                            float(delay_fn(consumed))
-                            if delay_fn is not None
-                            else t_delay_const[ti]
-                        )
-                        if delay < 0:
-                            raise DefinitionError(
-                                f"transition {t_names[ti]!r} computed a negative delay"
-                            )
-                        busy[ti] += 1
-                        fire_count[ti] += 1
-                        fired += 1
-                        if fired > budget:
-                            raise SimulationError(
-                                f"net {net_name!r}: more than {budget} "
-                                f"firings at t={now}; likely a zero-delay loop"
-                            )
-                        after = t_timeout_after[ti]
-                        if after is not None and delay > after:
-                            heappush(events, (now + after, seq, _FAIL, ti, first, now))
-                        else:
-                            heappush(
-                                events, (now + delay, seq, _COMPLETE, ti, first, now)
-                            )
-                        seq += 1
-
-        def record(slot: int, time: float) -> None:
-            nonlocal last_completion
-            comp_counts[slot] += 1
-            if time > last_completion:
-                last_completion = time
-            if comp_times is not None:
-                comp_times[slot].append(time)
-
-        def deposit(p: int, token: Token, from_reservation: bool) -> None:
-            nonlocal dirty
-            slot = sink_slot[p]
-            if slot >= 0:
-                if from_reservation:
-                    reserved[p] -= 1
-                    dirty |= producers_mask[p]
-                record(slot, now)
-                return
-            if from_reservation:
-                if reserved[p] <= 0:
-                    raise CapacityError(
-                        f"place {place_names[p]!r}: deposit without prior reservation"
-                    )
-                reserved[p] -= 1
-            else:
-                cap = capacity[p]
-                if cap is not None and cap - len(tokens[p]) - reserved[p] < 1:
-                    raise CapacityError(
-                        f"place {place_names[p]!r} is full (capacity {cap})"
-                    )
-            tokens[p].append(token)
-            dirty |= consumers_mask[p]
-
-        inf = float("inf")
-        while True:
-            t = events[0][0] if events else inf
-            if inj_i < inj_n:
-                t_inj = inj[inj_i][0]
-                if t_inj < t:
-                    t = t_inj
-            elif not events:
-                break
-            now = t
-            while inj_i < inj_n and inj[inj_i][0] == t:
-                idx, tok = inj[inj_i][1], inj[inj_i][2]
-                inj_i += 1
-                tok.born = t
-                slot = sink_slot[idx]
-                if slot >= 0:
-                    record(slot, t)
-                else:
-                    cap = capacity[idx]
-                    if cap is not None and cap - len(tokens[idx]) - reserved[idx] < 1:
-                        raise CapacityError(
-                            f"place {place_names[idx]!r} is full (capacity {cap})"
-                        )
-                    tokens[idx].append(tok)
-                    dirty |= consumers_mask[idx]
-            while events and events[0][0] == t:
-                _, _, kind, idx, tok, t0 = heappop(events)
-                if kind == _COMPLETE:
-                    p = t_out1[idx]
-                    if p >= 0:
-                        if tok.born is None:
-                            tok.born = t0
-                        reserved[p] -= 1
-                        slot = sink_slot[p]
-                        if slot >= 0:
-                            record(slot, now)
-                        else:
-                            tokens[p].append(tok)
-                        dirty |= wake_done[idx]
-                        busy[idx] -= 1
-                    elif (ow := t_outw[idx]) is not None:
-                        p, w = ow
-                        if tok.born is None:
-                            tok.born = t0
-                        reserved[p] -= w
-                        slot = sink_slot[p]
-                        if slot >= 0:
-                            record(slot, now)
-                        else:
-                            tokens[p].append(tok)
-                        payload, born, trace = tok.payload, tok.born, tok.trace
-                        for _ in range(w - 1):
-                            child = new_token(Token)
-                            child.payload = payload
-                            child.born = born
-                            child.uid = next_uid()
-                            child.trace = None if trace is None else list(trace)
-                            if slot >= 0:
-                                record(slot, now)
-                            else:
-                                tokens[p].append(child)
-                        dirty |= wake_done[idx]
-                        busy[idx] -= 1
-                    else:
-                        for p, w in t_out[idx]:
-                            for _ in range(w):
-                                child = tok.child()
-                                if child.born is None:
-                                    child.born = t0
-                                deposit(p, child, True)
-                        busy[idx] -= 1
-                        dirty |= 1 << idx
-                else:  # _FAIL
-                    for p, w in t_out[idx]:
-                        reserved[p] -= w
-                        dirty |= producers_mask[p]
-                    fault = tok.child() if tok is not None else Token()
-                    deposit(t_timeout_place[idx], fault, False)
-                    busy[idx] -= 1
-                    dirty |= 1 << idx
-            fire_all()
-
-        residual = sum(len(dq) for dq in tokens)
-        in_flight = any(busy)
-        deadlocked = residual > 0 and not in_flight and not events and inj_i >= inj_n
-        return BatchItemResult(
-            makespan=last_completion,
-            end_time=now,
-            counts=dict(zip(self.sinks, comp_counts, strict=True)),
-            first_injection=first_injection,
-            deadlocked=deadlocked,
-            residual_tokens=residual,
-            completion_times=(
-                dict(zip(self.sinks, comp_times, strict=True))
-                if comp_times is not None
-                else None
-            ),
-            fired=(
-                dict(zip(t_names, fire_count, strict=True)) if collect else None
-            ),
-        )
-
-
-# ----------------------------------------------------------------------
 # Public facade
 # ----------------------------------------------------------------------
 
@@ -912,24 +479,21 @@ class BatchEvaluator:
         self.net = net
         self.sinks = list(sinks)
         self.compiled = compiled if compiled is not None else CompiledNet(net)
-        self._columnar = _ColumnarRunner(self.compiled, self.sinks)
+        self._loop = self.compiled.event_loop(self.sinks)
         self._codegen: _CodegenRunner | None = None
-        if engine == "codegen":
-            reasons = chain_unsupported_reasons(net, self.sinks)
-            if reasons:
-                raise SimulationError(
-                    f"engine='codegen' cannot run net {net.name!r}: "
-                    + "; ".join(reasons)
-                )
         if engine in ("auto", "codegen"):
-            spec = chain_spec(net, self.sinks)
+            spec = chain_spec(net, self.sinks, compiled=self.compiled)
             if spec is not None:
                 self._codegen = _CodegenRunner(spec)
+            elif engine == "codegen":
+                reasons = chain_unsupported_reasons(net, self.sinks, compiled=self.compiled)
+                raise SimulationError(
+                    f"engine='codegen' cannot run net {net.name!r}: " + "; ".join(reasons)
+                )
         self.engine = "codegen" if self._codegen is not None else "columnar"
         #: Per-engine item counters, surfaced in reports and benches.
         self.items_codegen = 0
         self.items_columnar = 0
-        self._place_index = self.compiled.place_index
 
     def evaluate(
         self, items: Sequence[Sequence[Any]], *, collect: bool = False
@@ -941,7 +505,7 @@ class BatchEvaluator:
         results = []
         codegen = self._codegen
         entry = codegen.spec.entry if codegen is not None else None
-        place_index = self._place_index
+        place_index = self.compiled.place_index
         for injections in items:
             norm = _normalize(injections)
             for place, _, _ in norm:
@@ -961,14 +525,51 @@ class BatchEvaluator:
                     continue
                 except _ZeroDelayBailout:
                     pass  # re-run this item on the event loop
-            results.append(
-                self._columnar.run_item(
-                    [(place_index[p], payload, at) for p, payload, at in norm],
-                    collect,
-                )
-            )
+            results.append(self._run_columnar(norm, collect))
             self.items_columnar += 1
         return results
+
+    def _run_columnar(
+        self, injections: list[tuple[str, Any, float]], collect: bool
+    ) -> BatchItemResult:
+        """One item on the compiled event loop: materialize its tokens
+        in injection order, run, and reduce the completions."""
+        place_index = self.compiled.place_index
+        new_token = Token.__new__
+        next_uid = _token_ids.__next__
+        inj = []
+        for place, payload, at in injections:
+            if isinstance(payload, Token):
+                token = payload
+            else:
+                token = new_token(Token)
+                token.payload = payload
+                token.born = None
+                token.uid = next_uid()
+                token.trace = None
+            inj.append((at, token.uid, place_index[place], token))
+        # The (at, uid) arrival order CompiledSimulator.run sorts into.
+        inj.sort()
+        out = self._loop.run(inj)
+        comps = out.completions
+        return BatchItemResult(
+            makespan=max((c.time for cs in comps.values() for c in cs), default=0.0),
+            end_time=out.end_time,
+            counts={sink: len(cs) for sink, cs in comps.items()},
+            first_injection=out.first_injection,
+            deadlocked=out.deadlocked,
+            residual_tokens=out.residual_tokens,
+            completion_times=(
+                {sink: [c.time for c in cs] for sink, cs in comps.items()}
+                if collect
+                else None
+            ),
+            fired=(
+                dict(zip(self.compiled.t_names, out.fire_count, strict=True))
+                if collect
+                else None
+            ),
+        )
 
     def evaluate_makespans(self, items: Sequence[Sequence[Any]]) -> list[float]:
         """Makespan per item — the latency-interface fast path."""

@@ -26,6 +26,11 @@ same budget accounting, same error messages, same ``SimResult`` — and
 :mod:`repro.petri.differential` asserts this on every shipped
 accelerator net and on randomized structural nets.
 
+The firing/completion loop itself lives in one place, :class:`EventLoop`,
+built once per ``(CompiledNet, sinks)``: :class:`CompiledSimulator` runs
+it and writes the end state back into the net, and the columnar batch
+engine (:mod:`repro.petri.batched`) runs the same loop per workload item.
+
 Fallback rules (see ``docs/performance.md``): the fast path refuses nets
 that use features it does not specialize — currently custom ``produce``
 hooks (arbitrary token fabrication) and per-token ``trace`` recording —
@@ -37,11 +42,10 @@ arcs) runs on the fast path.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from collections.abc import Iterable, Sequence
 from heapq import heappop, heappush
-from typing import Any, Literal
+from typing import Any, Literal, NamedTuple
 
 from .errors import CapacityError, DeadlineError, DeadlockError, DefinitionError, SimulationError
 from .net import PetriNet
@@ -54,26 +58,12 @@ EngineName = Literal["auto", "reference", "compiled"]
 
 ENGINES: tuple[str, ...] = ("auto", "reference", "compiled")
 
-#: Environment override for the default engine choice (used by the CI
-#: parity job to force-run suites on one engine).
-ENGINE_ENV_VAR = "REPRO_PETRI_ENGINE"
-
 # Event kinds, ordered only for readability — (time, seq) alone decides
 # heap order because seq is unique.  (Injections never touch the heap:
 # they are all known before the run starts and always sort before
 # engine-generated events at the same instant, so the run loop merges
 # them from a sorted side list.)
 _COMPLETE, _FAIL = 1, 2
-
-
-def default_engine() -> str:
-    """The session-wide engine choice: ``$REPRO_PETRI_ENGINE`` or auto."""
-    engine = os.environ.get(ENGINE_ENV_VAR, "auto")
-    if engine not in ENGINES:
-        raise ValueError(
-            f"{ENGINE_ENV_VAR}={engine!r} is not one of {', '.join(ENGINES)}"
-        )
-    return engine
 
 
 def unsupported_features(net: PetriNet, *, trace: bool = False) -> list[str]:
@@ -105,8 +95,8 @@ class CompiledNet:
 
     Compile once, simulate many times: the lowering cost is paid per
     *net*, not per run, so sweeps amortize it across thousands of
-    points.  The compiled form never mutates — all simulation state
-    lives in the :class:`CompiledSimulator` run that uses it.
+    points.  The lowered arrays never mutate — all simulation state
+    lives in the :class:`EventLoop` run that uses them.
     """
 
     __slots__ = (
@@ -133,6 +123,7 @@ class CompiledNet:
         "t_fast",
         "t_out1",
         "t_outw",
+        "_loops",
     )
 
     def __init__(self, net: PetriNet):
@@ -255,6 +246,16 @@ class CompiledNet:
             self.t_out[ti][0] if len(self.t_out[ti]) == 1 else None
             for ti in range(len(ordered))
         ]
+        self._loops: dict[tuple[str, ...], EventLoop] = {}
+
+    def event_loop(self, sinks: Sequence[str]) -> EventLoop:
+        """The :class:`EventLoop` for ``sinks``, built on first request
+        and shared by every simulator and batch evaluator of this form."""
+        key = tuple(sinks)
+        loop = self._loops.get(key)
+        if loop is None:
+            loop = self._loops[key] = EventLoop(self, key)
+        return loop
 
 
 class CompiledSimulator:
@@ -283,14 +284,12 @@ class CompiledSimulator:
         compiled: CompiledNet | None = None,
         tracer=None,
     ):
-        for s in sinks:
-            if s not in net.places:
-                raise SimulationError(f"sink {s!r} is not a place of net {net.name!r}")
         if compiled is not None and compiled.net is not net:
             raise SimulationError("compiled form belongs to a different net object")
         self.net = net
         self.sinks = list(sinks)
         self.compiled = compiled if compiled is not None else CompiledNet(net)
+        self._loop = self.compiled.event_loop(self.sinks)  # validates the sinks
         self.tracer = (
             tracer if tracer is not None and getattr(tracer, "enabled", True) else None
         )
@@ -348,13 +347,171 @@ class CompiledSimulator:
         Mirrors :meth:`Simulator.run` exactly, including the ``max_time``
         watchdog and deadlock detection.
         """
-        c = self.compiled
         net = self.net
+        place_index = self.compiled.place_index
+        inj = sorted(
+            (at, tok.uid, place_index[pl], tok) for at, pl, tok in self._pending
+        )
+        self._pending.clear()
+        out = self._loop.run(
+            inj,
+            until=until,
+            max_time=max_time,
+            tracer=self.tracer,
+            budget=self.MAX_FIRINGS_PER_INSTANT,
+        )
+        self._write_back(out)
+        if out.deadlocked and on_deadlock == "raise":
+            raise DeadlockError(
+                f"net {net.name!r} starved with {out.residual_tokens} resident tokens: "
+                f"marking={net.marking()}"
+            )
+        result = SimResult(
+            end_time=out.end_time,
+            completions=out.completions,
+            fired={name: net.transitions[name].fire_count for name in net.transitions},
+            deadlocked=out.deadlocked,
+            residual_tokens=out.residual_tokens,
+            deadline_exceeded=out.deadline_exceeded,
+            first_injection=out.first_injection,
+        )
+        if out.deadline_exceeded and on_deadline == "raise":
+            done = sum(len(comp) for comp in out.completions.values())
+            raise DeadlineError(
+                f"net {net.name!r} exceeded max_time={max_time} with "
+                f"{out.pending} events pending ({done} completions so far)",
+                result=result,
+            )
+        return result
+
+    def _write_back(self, out: LoopOutcome) -> None:
+        """Mirror final run state into the net's Place/Transition objects.
+
+        Callers introspect ``net.marking()`` and per-transition counters
+        after a run (deadlock reporting, utilization stats); keeping the
+        net in the same end state as a reference run preserves that.
+        """
+        c = self.compiled
+        for i, name in enumerate(c.place_names):
+            place = self.net.places[name]
+            place.tokens = out.tokens[i]
+            place.reserved = out.reserved[i]
+        for i, name in enumerate(c.t_names):
+            t = self.net.transitions[name]
+            t.busy = out.busy[i]
+            t.fire_count = out.fire_count[i]
+            t.busy_time = out.busy_time[i]
+
+
+class LoopOutcome(NamedTuple):
+    """The end state of one :meth:`EventLoop.run`.
+
+    The sink completions and run flags every caller reads, plus the
+    per-place and per-transition arrays :class:`CompiledSimulator`
+    writes back into the net.
+    """
+
+    end_time: float
+    completions: dict[str, list[Completion]]
+    first_injection: float | None
+    deadlocked: bool
+    residual_tokens: int
+    deadline_exceeded: bool
+    #: Events and injections still queued when the run stopped.
+    pending: int
+    tokens: list[deque[Token]]
+    reserved: list[int]
+    busy: list[int]
+    fire_count: list[int]
+    busy_time: list[float]
+
+
+class EventLoop:
+    """The compiled engine's firing/completion loop for one
+    ``(CompiledNet, sinks)`` pair.
+
+    Everything the loop reads per net — the wake masks applied at
+    completion, the reusable guard/delay argument slots, the sink table,
+    the span categories — is built here once; :meth:`run` allocates only
+    the run state.  :class:`CompiledSimulator` and the columnar batch
+    engine both run this loop, so the firing semantics exist once.  Get
+    one through :meth:`CompiledNet.event_loop`.
+    """
+
+    def __init__(self, compiled: CompiledNet, sinks: Sequence[str]):
+        c = compiled
+        for s in sinks:
+            if s not in c.place_index:
+                raise SimulationError(f"sink {s!r} is not a place of net {c.net.name!r}")
+        self.compiled = c
+        self.sinks = tuple(sinks)
+        #: Per place: its name when it is a sink (tokens leave the net
+        #: there as completions), else ``None``.
+        self.sink_of: list[str | None] = [
+            name if name in self.sinks else None for name in c.place_names
+        ]
+        # Combined wake mask applied when a single-output transition
+        # completes: its own server frees up, plus either readers of the
+        # deposited place or — for sink places, where the token leaves
+        # the net — writers whose capacity was freed.
+        self.wake_done: list[int] = []
+        # Reusable ``consumed`` argument per fast transition with a
+        # guard or delay callable (fresh-dict cost avoided; callables
+        # must not retain or mutate their argument — same contract the
+        # reference engine's documentation imposes).
+        self.guard_slots: list[list[Token | None] | None] = []
+        self.guard_dicts: list[dict[str, list[Token | None]] | None] = []
+        for ti in range(len(c.t_names)):
+            ow = c.t_outw[ti]
+            if ow is None:
+                self.wake_done.append(1 << ti)
+            else:
+                p, _ = ow
+                base = (
+                    c.producers_mask[p]
+                    if self.sink_of[p] is not None
+                    else c.consumers_mask[p]
+                )
+                self.wake_done.append(base | (1 << ti))
+            fast = c.t_fast[ti]
+            if fast is not None and fast[1] == 1 and (
+                fast[5] is not None or fast[6] is not None
+            ):
+                slot: list[Token | None] = [None]
+                self.guard_slots.append(slot)
+                self.guard_dicts.append({fast[4]: slot})
+            else:
+                self.guard_slots.append(None)
+                self.guard_dicts.append(None)
+        # Per-transition span categories, so the per-event trace branch
+        # allocates nothing (guard attribution included).
+        self.trace_cat = [
+            "petri.guarded" if g is not None else "petri.fire" for g in c.t_guard
+        ]
+
+    def run(
+        self,
+        inj: list[tuple[float, int, int, Token]],
+        *,
+        until: float | None = None,
+        max_time: float | None = None,
+        tracer=None,
+        budget: int = Simulator.MAX_FIRINGS_PER_INSTANT,
+    ) -> LoopOutcome:
+        """Execute one run from an empty marking.
+
+        ``inj`` holds the workload as ``(at, uid, place_idx, token)``
+        tuples sorted ascending — arrival time, then injection order.
+        ``until``/``max_time`` stop the run like :meth:`Simulator.run`'s;
+        ``tracer`` (already known to be enabled) receives one span per
+        completed or timed-out firing; ``budget`` caps firings per
+        instant.
+        """
+        c = self.compiled
         n_places = len(c.place_names)
         n_trans = len(c.t_names)
 
-        # --- run state: flat arrays, no Place/Transition mutation until
-        # the final write-back.
+        # --- run state: flat arrays, no Place/Transition mutation.
         tokens: list[deque[Token]] = [deque() for _ in range(n_places)]
         reserved = [0] * n_places
         busy = [0] * n_trans
@@ -363,8 +520,7 @@ class CompiledSimulator:
         completions: dict[str, list[Completion]] = {s: [] for s in self.sinks}
         # Per-place completion list (None = not a sink).
         comp_of: list[list[Completion] | None] = [
-            completions.get(name) if name in completions else None
-            for name in c.place_names
+            None if name is None else completions[name] for name in self.sink_of
         ]
 
         events: list[tuple[float, int, int, int, Token | None, float]] = []
@@ -378,65 +534,25 @@ class CompiledSimulator:
         t_delay_const, t_delay_fn = c.t_delay_const, c.t_delay_fn
         t_guard, t_servers = c.t_guard, c.t_servers
         t_timeout_after, t_timeout_place = c.t_timeout_after, c.t_timeout_place
-        consumers, producers = c.consumers, c.producers
         consumers_mask, producers_mask = c.consumers_mask, c.producers_mask
         capacity = c.capacity
         place_names = c.place_names
         t_names = c.t_names
         t_wake_fire, t_fast = c.t_wake_fire, c.t_fast
         t_out1, t_outw = c.t_out1, c.t_outw
+        wake_done = self.wake_done
+        guard_slots, guard_dicts = self.guard_slots, self.guard_dicts
+        trace_cat = self.trace_cat
         new_token = Token.__new__
         new_comp = Completion.__new__
         next_uid = _token_ids.__next__
-        tracer = self.tracer
-        net_name = net.name
-        # Per-transition span categories, precomputed so the per-event
-        # trace branch allocates nothing (guard attribution included).
-        trace_cat = (
-            ["petri.guarded" if g is not None else "petri.fire" for g in t_guard]
-            if tracer is not None
-            else None
-        )
-
-        # Combined wake mask applied when a single-output transition
-        # completes: its own server frees up, plus either readers of the
-        # deposited place or — for sink places, where the token leaves
-        # the net — writers whose capacity was freed.
-        wake_done: list[int] = []
-        # Reusable ``consumed`` argument per fast transition with a
-        # guard or delay callable (fresh-dict cost avoided; callables
-        # must not retain or mutate their argument — same contract the
-        # reference engine's documentation imposes).
-        guard_slots: list[list[Token | None] | None] = []
-        guard_dicts: list[dict[str, list[Token | None]] | None] = []
-        for ti in range(n_trans):
-            ow = t_outw[ti]
-            if ow is None:
-                wake_done.append(1 << ti)
-            else:
-                p, _ = ow
-                base = producers_mask[p] if comp_of[p] is not None else consumers_mask[p]
-                wake_done.append(base | (1 << ti))
-            fast = t_fast[ti]
-            if fast is not None and fast[1] == 1 and (
-                fast[5] is not None or fast[6] is not None
-            ):
-                slot: list[Token | None] = [None]
-                guard_slots.append(slot)
-                guard_dicts.append({fast[4]: slot})
-            else:
-                guard_slots.append(None)
-                guard_dicts.append(None)
+        net_name = c.net.name
 
         # Injections never interleave with engine-generated events at
         # the same (time, seq) — they were all scheduled first, so at
         # any instant they apply before completions.  Keeping them in a
         # sorted side list instead of the heap skips two heap ops per
         # token.
-        inj = sorted(
-            (at, tok.uid, c.place_index[pl], tok) for at, pl, tok in self._pending
-        )
-        self._pending.clear()
         first_injection = inj[0][0] if inj else None
         if inj and inj[0][0] < now:
             raise SimulationError(
@@ -469,8 +585,6 @@ class CompiledSimulator:
                     )
             tokens[p].append(token)
             dirty |= consumers_mask[p]
-
-        budget = self.MAX_FIRINGS_PER_INSTANT
 
         def fire_all() -> None:
             nonlocal seq, dirty
@@ -521,7 +635,7 @@ class CompiledSimulator:
                                 fired += 1
                                 if fired > budget:
                                     raise SimulationError(
-                                        f"net {net.name!r}: more than {budget} "
+                                        f"net {net_name!r}: more than {budget} "
                                         f"firings at t={now}; likely a zero-delay loop"
                                     )
                                 heappush(
@@ -572,7 +686,7 @@ class CompiledSimulator:
                             fired += 1
                             if fired > budget:
                                 raise SimulationError(
-                                    f"net {net.name!r}: more than {budget} "
+                                    f"net {net_name!r}: more than {budget} "
                                     f"firings at t={now}; likely a zero-delay loop"
                                 )
                             heappush(events, (now + delay, seq, _COMPLETE, ti, first, now))
@@ -640,7 +754,7 @@ class CompiledSimulator:
                         fired += 1
                         if fired > budget:
                             raise SimulationError(
-                                f"net {net.name!r}: more than {budget} "
+                                f"net {net_name!r}: more than {budget} "
                                 f"firings at t={now}; likely a zero-delay loop"
                             )
                         after = t_timeout_after[ti]
@@ -779,61 +893,22 @@ class CompiledSimulator:
                     dirty |= 1 << idx
             fire_all()
 
-        self._write_back(tokens, reserved, busy, fire_count, busy_time)
-        deadlocked = False
         residual = sum(len(dq) for dq in tokens)
-        in_flight = any(busy)
-        if residual > 0 and not in_flight and not events and inj_i >= inj_n:
-            deadlocked = True
-            if on_deadlock == "raise":
-                raise DeadlockError(
-                    f"net {net.name!r} starved with {residual} resident tokens: "
-                    f"marking={net.marking()}"
-                )
-
-        result = SimResult(
+        pending = len(events) + (inj_n - inj_i)
+        return LoopOutcome(
             end_time=now,
             completions=completions,
-            fired={name: net.transitions[name].fire_count for name in net.transitions},
-            deadlocked=deadlocked,
+            first_injection=first_injection,
+            deadlocked=residual > 0 and not any(busy) and not pending,
             residual_tokens=residual,
             deadline_exceeded=deadline_exceeded,
-            first_injection=first_injection,
+            pending=pending,
+            tokens=tokens,
+            reserved=reserved,
+            busy=busy,
+            fire_count=fire_count,
+            busy_time=busy_time,
         )
-        if deadline_exceeded and on_deadline == "raise":
-            done = sum(len(comp) for comp in completions.values())
-            pending = len(events) + (inj_n - inj_i)
-            raise DeadlineError(
-                f"net {net.name!r} exceeded max_time={max_time} with "
-                f"{pending} events pending ({done} completions so far)",
-                result=result,
-            )
-        return result
-
-    def _write_back(
-        self,
-        tokens: list[deque[Token]],
-        reserved: list[int],
-        busy: list[int],
-        fire_count: list[int],
-        busy_time: list[float],
-    ) -> None:
-        """Mirror final run state into the net's Place/Transition objects.
-
-        Callers introspect ``net.marking()`` and per-transition counters
-        after a run (deadlock reporting, utilization stats); keeping the
-        net in the same end state as a reference run preserves that.
-        """
-        c = self.compiled
-        for i, name in enumerate(c.place_names):
-            place = self.net.places[name]
-            place.tokens = tokens[i]
-            place.reserved = reserved[i]
-        for i, name in enumerate(c.t_names):
-            t = self.net.transitions[name]
-            t.busy = busy[i]
-            t.fire_count = fire_count[i]
-            t.busy_time = busy_time[i]
 
 
 def make_simulator(
@@ -841,7 +916,7 @@ def make_simulator(
     sinks: Sequence[str] = ("out",),
     *,
     trace: bool = False,
-    engine: str | None = None,
+    engine: str = "auto",
     compiled: CompiledNet | None = None,
     tracer=None,
 ) -> Simulator | CompiledSimulator:
@@ -850,14 +925,11 @@ def make_simulator(
     ``engine`` is ``"auto"`` (compiled when supported, reference
     otherwise), ``"reference"``, or ``"compiled"`` (raises
     :class:`SimulationError` naming the unsupported features when the
-    net cannot be compiled).  ``None`` defers to
-    ``$REPRO_PETRI_ENGINE``/auto.  ``compiled`` shares a pre-built
+    net cannot be compiled).  ``compiled`` shares a pre-built
     :class:`CompiledNet` across simulators in a sweep.  ``tracer``
     (:class:`repro.obs.Tracer`) records per-firing spans on either
     engine without affecting results.
     """
-    if engine is None:
-        engine = default_engine()
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}")
     if engine == "reference":

@@ -12,14 +12,17 @@ The batch engines (:mod:`repro.petri.batched`) make the same promise *per
 item*: evaluating a matrix of workloads must give, for every item, exactly
 what a tracing-disabled :class:`CompiledSimulator` gives when run on that
 item in isolation.  :func:`compare_batch_engines` asserts it for both batch
-engines (the chain-recurrence codegen where the net supports it, the
-columnar event loop always).
+engines: the chain-recurrence codegen where the net supports it, and
+always the columnar engine — the compiled engine's own event loop, so
+there its check covers the per-item setup (token order, sink reduction)
+rather than a second copy of the firing rules.
 
 Case families:
 
 * :func:`accel_cases` — the real accelerator nets shipped in
-  ``src/repro/accel/*/interfaces.py`` (JPEG decoder, VTA, bitcoin miner),
-  driven by their own ``tokenize`` functions over reproducible workloads.
+  ``src/repro/accel/*/interfaces.py`` (JPEG decoder, VTA, bitcoin miner,
+  Protoacc, Optimus Prime), driven by their own ``tokenize`` functions
+  over reproducible workloads.
 * :func:`random_cases` — seeded, randomly generated structural nets that
   exercise the engine features accelerator nets may not (weighted arcs,
   fan-out/merge, guard splits, timeouts, finite capacities, deadlocks).
@@ -176,8 +179,11 @@ def accel_cases() -> list[DiffCase]:
     from repro.accel.bitcoin.workload import random_jobs
     from repro.accel.jpeg import interfaces as jpeg
     from repro.accel.jpeg.workload import random_images
+    from repro.accel.optimusprime import interfaces as optimus
+    from repro.accel.protoacc import interfaces as protoacc
     from repro.accel.vta import interfaces as vta
     from repro.accel.vta.workload import random_programs
+    from repro.workloads import ENTERPRISE_MIX
 
     cases = []
     for i, img in enumerate(random_images(seed=7, count=2, min_dim=32, max_dim=96)):
@@ -193,6 +199,10 @@ def accel_cases() -> list[DiffCase]:
                 job,
             )
         )
+    # The two nets the serving pool prices every request through.
+    for i, msg in enumerate(ENTERPRISE_MIX.sample(seed=6, count=2)):
+        cases.append(_interface_case(f"protoacc[{i}]", protoacc.petri_interface, msg))
+        cases.append(_interface_case(f"optimusprime[{i}]", optimus.petri_interface, msg))
     return cases
 
 

@@ -18,7 +18,7 @@ Routing policies (:data:`ROUTING_POLICIES`):
 * ``interface_predicted`` — the headline policy: price each admitting
   device as *backlog drain + interface-predicted service time +
   invocation overhead*, using the device's own performance interface
-  (the Petri-net IR through the compiled engine, with a shared
+  (the Petri-net IR through its lowered batch engine, with a shared
   :class:`~repro.perf.EvalCache` across devices), and pick the minimum.
   This is the paper's thesis operationalized: performance interfaces
   make placement decisions mechanical.
@@ -664,11 +664,10 @@ def rpc_device(
     a planned fleet would not behave like the deployed one.
 
     ``kind`` is one of :data:`RPC_DEVICE_KINDS`.  Accelerator kinds are
-    priced through their Petri-net interfaces on the compiled engine
-    (sharing ``cache``) and carry their verified
-    :class:`~repro.lint.PerfContract`; the CPU software server is its
-    own ground truth and ships breaker-less (it always admits), so a
-    pool containing one is never without a device.
+    priced through their Petri-net interfaces (sharing ``cache``) and
+    carry their verified :class:`~repro.lint.PerfContract`; the CPU
+    software server is its own ground truth and ships breaker-less (it
+    always admits), so a pool containing one is never without a device.
     """
     from repro.accel.cpu import CpuSerializerModel, offload_overhead
     from repro.core.program import ProgramInterface
@@ -701,7 +700,7 @@ def rpc_device(
 
         device = ResilientDevice(
             ProtoaccSerializerModel(tracer=tracer),
-            protoacc_petri(engine="compiled", cache=cache, tracer=tracer),
+            protoacc_petri(cache=cache, tracer=tracer),
             fallback,
             fault_plan=fault_plan,
             watchdog=Watchdog(budget=20_000.0),
@@ -718,7 +717,7 @@ def rpc_device(
 
         device = ResilientDevice(
             OptimusPrimeModel(),
-            optimus_petri(engine="compiled", cache=cache, tracer=tracer),
+            optimus_petri(cache=cache, tracer=tracer),
             fallback,
             fault_plan=fault_plan,
             watchdog=Watchdog(budget=20_000.0),
@@ -778,7 +777,7 @@ def rpc_pool(
       ``tests/integration/test_attribution_bottleneck.py``).
 
     All accelerator devices are priced through their Petri-net
-    interfaces on the compiled engine, sharing one
+    interfaces, sharing one
     :class:`~repro.perf.EvalCache` (pass ``cache`` to share it wider,
     e.g. across the policies of a sweep).
 

@@ -394,13 +394,12 @@ def build_parser() -> argparse.ArgumentParser:
         p_sim.add_argument("--sink", default="out", help="completion place")
         p_sim.add_argument(
             "--engine",
-            default=None,
+            default="auto",
             choices=[*ENGINES, "batched"],
-            help="simulation engine (default: REPRO_PETRI_ENGINE or auto; "
-            "auto compiles when the net is supported, else falls back to "
-            "the reference interpreter; batched evaluates the workload "
-            "through the whole-matrix engines, honoring "
-            "REPRO_PETRI_BATCH_ENGINE)",
+            help="simulation engine (default: auto, which compiles when "
+            "the net is supported, else falls back to the reference "
+            "interpreter; batched evaluates the workload through the "
+            "whole-matrix engines, honoring REPRO_PETRI_BATCH_ENGINE)",
         )
         p_sim.add_argument(
             "--batch",

@@ -52,17 +52,6 @@ def test_batch_takes_the_batch_engine_exactly_once(monkeypatch):
     assert ev.items_codegen == len(IMAGES)
 
 
-def test_pinned_engine_falls_back_to_per_item(monkeypatch):
-    from repro.petri.compiled import ENGINE_ENV_VAR
-
-    monkeypatch.setenv(ENGINE_ENV_VAR, "reference")
-    iface = jpeg.petri_interface()
-    pinned = iface.evaluate_batch(IMAGES[:3])
-    assert iface.batch_evaluator is None  # never built an engine
-    monkeypatch.delenv(ENGINE_ENV_VAR)
-    assert pinned == jpeg.petri_interface().evaluate_batch(IMAGES[:3])
-
-
 def test_tracer_falls_back_to_per_item():
     from repro.obs import Tracer
 
@@ -72,6 +61,111 @@ def test_tracer_falls_back_to_per_item():
     assert iface.batch_evaluator is None
     assert len(iface.tracer.spans()) > 0  # the trace shows the work
     assert traced == jpeg.petri_interface().evaluate_batch(IMAGES[:3])
+
+
+def test_disabled_tracer_keeps_the_batch_engine(monkeypatch):
+    from repro.obs import Tracer
+    from repro.petri.batched import BATCH_ENGINE_ENV_VAR
+
+    monkeypatch.delenv(BATCH_ENGINE_ENV_VAR, raising=False)
+    iface = jpeg.petri_interface()
+    iface.tracer = Tracer(enabled=False)
+    got = iface.evaluate_batch(IMAGES)
+    assert iface.batch_evaluator.items_codegen == len(IMAGES)
+    assert iface.tracer.spans() == []
+    assert got == jpeg.petri_interface().evaluate_batch(IMAGES)
+
+
+# ----------------------------------------------------------------------
+# One evaluation path: latency() is a batch of one
+# ----------------------------------------------------------------------
+
+
+def _shipped_interfaces():
+    """(factory, item) for every shipped Petri interface."""
+    from repro.accel.bitcoin import interfaces as btc
+    from repro.accel.bitcoin.workload import random_jobs
+    from repro.accel.optimusprime import interfaces as optimus
+    from repro.accel.protoacc import interfaces as protoacc
+    from repro.accel.vta import interfaces as vta
+    from repro.accel.vta.workload import random_programs
+    from repro.workloads import ENTERPRISE_MIX
+
+    msg = ENTERPRISE_MIX.sample(seed=8, count=1)[0]
+    return {
+        "jpeg": (jpeg.petri_interface, IMAGES[1]),
+        "vta": (vta.petri_interface, random_programs(seed=13, count=1, max_dim=8)[0]),
+        "bitcoin": (lambda: btc.petri_interface(8), random_jobs(seed=3, count=1)[0]),
+        "protoacc": (protoacc.petri_interface, msg),
+        "optimusprime": (optimus.petri_interface, msg),
+    }
+
+
+@pytest.mark.parametrize("mode", ["uncached", "cached", "traced"])
+@pytest.mark.parametrize("name", ["jpeg", "vta", "bitcoin", "protoacc", "optimusprime"])
+def test_latency_and_batch_agree_with_the_reference_engine(name, mode):
+    from repro.obs import Tracer
+    from repro.petri import Simulator
+
+    factory, item = _shipped_interfaces()[name]
+    ref = factory()
+    sim = Simulator(ref.net, sinks=[ref.sink])
+    for inj in ref.tokenize(item):
+        sim.inject(inj.place, inj.payload, at=inj.at)
+    want = sim.run().makespan() + ref.epilogue
+
+    iface = factory()
+    if mode == "cached":
+        iface.cache = EvalCache()
+    if mode == "traced":
+        iface.tracer = Tracer()
+    got = [iface.latency(item), iface.evaluate_batch([item])[0], iface.latency(item)]
+    assert got == [want] * 3  # bit-identical, not approx
+    if mode == "cached":
+        assert (iface.cache.stats.misses, iface.cache.stats.hits) == (1, 2)
+    if mode == "traced":
+        assert iface.batch_evaluator is None and len(iface.tracer.spans()) > 0
+
+
+def test_latency_hits_the_entries_evaluate_batch_stored():
+    iface = jpeg.petri_interface()
+    iface.cache = EvalCache()
+    iface.evaluate_batch(IMAGES)
+    hits = iface.cache.stats.hits
+    iface.latency(IMAGES[0])
+    assert iface.cache.stats.hits == hits + 1
+    assert len(iface.cache) == len(IMAGES)  # one entry per item
+
+
+def test_latency_spills_one_float(tmp_path: Path):
+    iface = jpeg.petri_interface()
+    iface.cache = EvalCache(tmp_path / "evals.jsonl")
+    iface.latency(IMAGES[0])
+    assert iface.cache.stats.spills == 1
+    assert iface.cache.stats.unspillable == 0
+
+
+def test_an_interface_lowers_its_net_once(monkeypatch):
+    """latency(), traced runs and predict_decomposition share one
+    CompiledNet."""
+    from repro.obs import Tracer
+    from repro.petri import CompiledNet
+
+    lowered = []
+    lower = CompiledNet.__init__
+
+    def counting(self, net):
+        lowered.append(net.name)
+        lower(self, net)
+
+    monkeypatch.setattr(CompiledNet, "__init__", counting)
+    iface = jpeg.petri_interface()
+    for k in range(10):
+        iface.latency(IMAGES[k % len(IMAGES)])
+    iface.predict_decomposition(IMAGES[0])
+    iface.tracer = Tracer()
+    iface.latency(IMAGES[2])
+    assert len(lowered) == 1
 
 
 def test_cache_hits_skip_the_engine_entirely():

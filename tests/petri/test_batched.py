@@ -152,6 +152,23 @@ def test_empty_batch_and_empty_item():
     assert res.makespan == 0.0 and res.total_completions == 0
 
 
+def test_building_an_evaluator_lowers_the_net_once(monkeypatch):
+    """The chain checks and the codegen spec reuse the evaluator's own
+    lowering instead of lowering the net again."""
+    lowered = []
+    lower = CompiledNet.__init__
+
+    def counting(self, net):
+        lowered.append(net.name)
+        lower(self, net)
+
+    monkeypatch.setattr(CompiledNet, "__init__", counting)
+    monkeypatch.delenv(BATCH_ENGINE_ENV_VAR, raising=False)
+    ev = BatchEvaluator(chain_net(), ["out"])
+    assert ev.engine == "codegen"
+    assert lowered == ["chain"]
+
+
 def test_shared_compiled_net_must_belong_to_the_net():
     net = chain_net()
     other = chain_net()

@@ -10,12 +10,10 @@ from repro.petri import (
     PetriNet,
     SimulationError,
     Simulator,
-    default_engine,
     make_simulator,
     supports,
     unsupported_features,
 )
-from repro.petri.compiled import ENGINE_ENV_VAR
 
 
 def simple_net():
@@ -84,22 +82,6 @@ def test_explicit_reference_always_honored():
 def test_unknown_engine_rejected():
     with pytest.raises(ValueError, match="unknown engine"):
         make_simulator(simple_net(), sinks=("out",), engine="turbo")
-
-
-def test_env_var_sets_default_engine(monkeypatch):
-    monkeypatch.setenv(ENGINE_ENV_VAR, "reference")
-    assert default_engine() == "reference"
-    sim = make_simulator(simple_net(), sinks=("out",))
-    assert not isinstance(sim, CompiledSimulator)
-    monkeypatch.setenv(ENGINE_ENV_VAR, "compiled")
-    sim = make_simulator(simple_net(), sinks=("out",))
-    assert isinstance(sim, CompiledSimulator)
-
-
-def test_env_var_invalid_value_rejected(monkeypatch):
-    monkeypatch.setenv(ENGINE_ENV_VAR, "warp")
-    with pytest.raises(ValueError, match=ENGINE_ENV_VAR):
-        default_engine()
 
 
 def test_engines_constant_lists_all_modes():
