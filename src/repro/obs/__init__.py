@@ -98,8 +98,8 @@ class Obs:
     ) -> Obs:
         """Build a fully wired bundle (the common case for benchmarks
         and the perfscope CLI).  ``tsdb`` opts into the embedded
-        time-series store (off by default: the serving loop then pumps
-        periodic metrics snapshots into it)."""
+        time-series store (off by default: the serving loop then folds
+        the metrics registry into it periodically)."""
         registry = MetricsRegistry() if metrics else None
         return cls(
             tracer=Tracer(max_events=max_events) if tracing else None,

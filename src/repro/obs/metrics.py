@@ -145,56 +145,93 @@ class Histogram:
         return {"count": self.count, "sum": self.sum, "buckets": cumulative}
 
 
+Instrument = Counter | Gauge | Histogram
+
+
 class MetricsRegistry:
     """Get-or-create registry of labeled instruments.
 
     A metric name belongs to exactly one instrument kind; asking for
     the same name with a different kind (or different histogram
     buckets) is a programming error and raises.
+
+    Each instrument's series key (``name{label="v"}``) is rendered once,
+    when the instrument is created.  A repeated lookup with the same
+    plain-string labels, passed in the same order, is one dict hit; any
+    other lookup is validated and canonicalised (labels sorted, values
+    ``str``-ed).
     """
 
     def __init__(self) -> None:
-        self._metrics: dict[tuple[str, LabelKey], Counter | Gauge | Histogram] = {}
+        #: ``(name, sorted labels)`` -> ``(series key, instrument)``, in
+        #: creation order.
+        self._metrics: dict[tuple[str, LabelKey], tuple[str, Instrument]] = {}
         self._kinds: dict[str, str] = {}
+        #: ``(kind, name, buckets, *label items as passed)`` -> instrument.
+        self._lookups: dict[tuple, Instrument] = {}
         self._probes: list[Callable[[MetricsRegistry], None]] = []
 
     # ------------------------------------------------------------------
     # Instruments
     # ------------------------------------------------------------------
-    def _get(self, kind: str, name: str, labels: dict[str, Any], make):
+    def _get(self, kind: str, name: str, labels: dict[str, Any], buckets=None):
+        lookup = (kind, name, buckets, *labels.items())
+        try:
+            instrument = self._lookups.get(lookup)
+        except TypeError:  # an unhashable label value or bucket list
+            instrument = lookup = None
+        if instrument is not None:
+            return instrument
+        if kind == "histogram":
+            bounds = tuple(buckets) if buckets is not None else DEFAULT_CYCLE_BUCKETS
         known = self._kinds.setdefault(name, kind)
         if known != kind:
             raise ValueError(f"metric {name!r} is a {known}, not a {kind}")
         key = (name, _label_key(labels))
-        instrument = self._metrics.get(key)
-        if instrument is None:
-            instrument = self._metrics[key] = make()
+        entry = self._metrics.get(key)
+        if entry is None:
+            if kind == "histogram":
+                instrument = Histogram(bounds)
+            else:
+                instrument = Counter() if kind == "counter" else Gauge()
+            self._metrics[key] = (f"{name}{_render_labels(key[1])}", instrument)
+        else:
+            instrument = entry[1]
+            if kind == "histogram" and instrument.buckets != tuple(float(b) for b in bounds):
+                raise ValueError(
+                    f"histogram {name!r} already registered with different buckets"
+                )
+        # Remembered as passed only when that is sound: label values of
+        # other types than str can be equal yet render differently (1,
+        # 1.0 and True), and buckets other than a tuple (an iterator)
+        # would be a new key on every call.
+        if (
+            lookup is not None
+            and (buckets is None or type(buckets) is tuple)
+            and all(type(v) is str for v in labels.values())
+        ):
+            self._lookups[lookup] = instrument
         return instrument
 
     def counter(self, name: str, **labels: Any) -> Counter:
-        return self._get("counter", name, labels, Counter)
+        return self._get("counter", name, labels)
 
     def gauge(self, name: str, **labels: Any) -> Gauge:
-        return self._get("gauge", name, labels, Gauge)
+        return self._get("gauge", name, labels)
 
     def histogram(
         self, name: str, *, buckets: Sequence[float] | None = None, **labels: Any
     ) -> Histogram:
-        bounds = tuple(buckets) if buckets is not None else DEFAULT_CYCLE_BUCKETS
-        hist = self._get("histogram", name, labels, lambda: Histogram(bounds))
-        if hist.buckets != tuple(float(b) for b in bounds):
-            raise ValueError(
-                f"histogram {name!r} already registered with different buckets"
-            )
-        return hist
+        return self._get("histogram", name, labels, buckets)
 
     # ------------------------------------------------------------------
     # Probes: pull-style gauges sampled at snapshot time
     # ------------------------------------------------------------------
     def add_probe(self, probe: Callable[[MetricsRegistry], None]) -> None:
         """Register a callback run at every :meth:`snapshot`/
-        :meth:`render_text` — the place to mirror externally owned state
-        (FIFO depths, cache sizes) into gauges without polling."""
+        :meth:`render_text`/:meth:`series` — the place to mirror
+        externally owned state (FIFO depths, cache sizes) into gauges
+        without polling."""
         self._probes.append(probe)
 
     def _run_probes(self) -> None:
@@ -204,12 +241,18 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # Exposition
     # ------------------------------------------------------------------
+    def series(self) -> list[tuple[str, Instrument]]:
+        """Run the probes, then every ``(series key, instrument)`` pair
+        in creation order — what a time-series store folds without
+        rendering a key or building a snapshot."""
+        self._run_probes()
+        return list(self._metrics.values())
+
     def snapshot(self) -> dict[str, Any]:
         """``{"name{label=\"v\"}": value-or-histogram-dict}``, sorted."""
         self._run_probes()
         out: dict[str, Any] = {}
-        for (name, key), instrument in sorted(self._metrics.items()):
-            series = f"{name}{_render_labels(key)}"
+        for _, (series, instrument) in sorted(self._metrics.items()):
             if isinstance(instrument, Histogram):
                 out[series] = instrument.snapshot()
             else:
@@ -220,14 +263,14 @@ class MetricsRegistry:
         """Prometheus-flavored text exposition (types + samples)."""
         self._run_probes()
         lines: list[str] = []
-        by_name: dict[str, list[tuple[LabelKey, Any]]] = {}
-        for (name, key), instrument in sorted(self._metrics.items()):
-            by_name.setdefault(name, []).append((key, instrument))
-        for name, series in by_name.items():
+        by_name: dict[str, list[tuple[LabelKey, str, Instrument]]] = {}
+        for (name, key), (series, instrument) in sorted(self._metrics.items()):
+            by_name.setdefault(name, []).append((key, series, instrument))
+        for name, rows in by_name.items():
             lines.append(f"# TYPE {name} {self._kinds[name]}")
-            for key, instrument in series:
-                labels = _render_labels(key)
+            for key, series, instrument in rows:
                 if isinstance(instrument, Histogram):
+                    labels = series[len(name) :]
                     snap = instrument.snapshot()
                     for bound, cum in snap["buckets"].items():
                         le = _render_labels(key + (("le", bound),))
@@ -235,7 +278,7 @@ class MetricsRegistry:
                     lines.append(f"{name}_sum{labels} {snap['sum']:g}")
                     lines.append(f"{name}_count{labels} {snap['count']}")
                 else:
-                    lines.append(f"{name}{labels} {instrument.value:g}")
+                    lines.append(f"{series} {instrument.value:g}")
         return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -16,10 +16,13 @@ Timestamps are virtual cycles, same as every clock in the repo, so a
 stored run is deterministic: same seeds, same workload ⇒ identical
 series.  Feeding happens two ways:
 
-* :meth:`pump` folds a full ``MetricsRegistry.snapshot()`` into the
-  store (counters/gauges one point each; histograms as ``:count`` and
-  ``:sum`` series), throttled by :meth:`maybe_pump` so the serving hot
-  loop pays one float comparison per arrival when it is too early.
+* :meth:`pump` folds every instrument of a ``MetricsRegistry`` into
+  the store (counters/gauges one point each; histograms as ``:count``
+  and ``:sum`` series), throttled by :meth:`maybe_pump` so the serving
+  hot loop pays one float comparison per arrival when it is too early.
+  Each instrument is bound to its series the first time a pump sees
+  it; later pumps append its values directly, rendering and sorting
+  nothing.
 * :meth:`record` / :meth:`event` take direct samples and instants from
   the scale/heal/brownout layers.
 
@@ -176,6 +179,9 @@ class TimeSeriesStore:
         self.dropped_events = 0
         self._series: dict[str, _Series] = {}
         self._events: list[tuple[float, str, dict[str, Any]]] = []
+        # Pumped instrument -> its series (a histogram: its ``:count``
+        # and ``:sum`` series).
+        self._bound: dict[Any, _Series | tuple[_Series, _Series]] = {}
 
     # ------------------------------------------------------------------
     # Ingest
@@ -183,15 +189,17 @@ class TimeSeriesStore:
     def record(self, name: str, at: float, value: float, **labels: Any) -> None:
         """Append one point to series ``name`` (labels rendered into the
         series key, metrics-registry style)."""
-        key = series_key(name, labels)
+        self._get_series(series_key(name, labels)).add(at, float(value))
+        if self.last_at is None or at > self.last_at:
+            self.last_at = at
+
+    def _get_series(self, key: str) -> _Series:
         series = self._series.get(key)
         if series is None:
             series = self._series[key] = _Series(
                 key, self.capacity, self.resolutions, self.bucket_capacity
             )
-        series.add(at, float(value))
-        if self.last_at is None or at > self.last_at:
-            self.last_at = at
+        return series
 
     def event(self, name: str, at: float, **fields: Any) -> None:
         """Append one instant (scale event, brownout transition, heal
@@ -204,24 +212,39 @@ class TimeSeriesStore:
             self.last_at = at
 
     def pump(self, metrics, at: float) -> int:
-        """Fold one ``MetricsRegistry.snapshot()`` into the store.
+        """Fold every instrument of a ``MetricsRegistry`` into the store.
 
         Counters and gauges become one point each; histograms become
         ``<name>:count`` and ``<name>:sum`` points (the bucket vector is
         already cumulative in the registry — re-storing it per pump
-        would be all cost, no query).  Returns the number of points
-        written."""
+        would be all cost, no query).  The points are the values
+        ``metrics.snapshot()`` would report now, under the same keys;
+        a key also written by :meth:`record` is the same series.
+        Returns the number of points written."""
         if metrics is None:
             return 0
+        bound = self._bound
         written = 0
-        for key, value in metrics.snapshot().items():
-            if isinstance(value, dict):
-                self.record(f"{key}:count", at, value["count"])
-                self.record(f"{key}:sum", at, value["sum"])
+        for key, instrument in metrics.series():
+            series = bound.get(instrument)
+            if series is None:  # first sight: a histogram has no ``value``
+                series = bound[instrument] = (
+                    self._get_series(key)
+                    if hasattr(instrument, "value")
+                    else (
+                        self._get_series(f"{key}:count"),
+                        self._get_series(f"{key}:sum"),
+                    )
+                )
+            if type(series) is tuple:
+                series[0].add(at, float(instrument.count))
+                series[1].add(at, float(instrument.sum))
                 written += 2
             else:
-                self.record(key, at, value)
+                series.add(at, float(instrument.value))
                 written += 1
+        if written and (self.last_at is None or at > self.last_at):
+            self.last_at = at
         self.pumps += 1
         self.last_pump_at = at
         return written

@@ -69,9 +69,11 @@ class DriftDetector:
     error ``|p - o| / min(p, o)`` — unlike the offline harness's
     ``|p - o| / o``, it does not saturate at 1 when the device runs far
     slower than predicted, which is exactly the regime drift detection
-    exists for.  The plain :class:`~repro.hw.stats.ErrorReport` from the
-    validation machinery is still computed for diagnostics
-    (:attr:`last_report`).
+    exists for.  Each pair's error is computed once, when it arrives,
+    and kept in a window beside the pair, so an update costs one error
+    plus a sum over the window.  The plain
+    :class:`~repro.hw.stats.ErrorReport` from the validation machinery
+    is computed when :attr:`last_report` is read.
 
     Args:
         window: number of recent (predicted, observed) pairs scored.
@@ -95,9 +97,8 @@ class DriftDetector:
             raise ValueError("threshold must be positive")
         self.threshold = threshold
         self.min_samples = min_samples
-        self._predicted: deque[float] = deque(maxlen=window)
-        self._observed: deque[float] = deque(maxlen=window)
-        self.last_report: ErrorReport | None = None
+        self._pairs: deque[tuple[float, float]] = deque(maxlen=window)
+        self._errors: deque[float] = deque(maxlen=window)
         self.last_score: float | None = None
 
     @classmethod
@@ -122,7 +123,17 @@ class DriftDetector:
 
     @property
     def samples(self) -> int:
-        return len(self._predicted)
+        return len(self._pairs)
+
+    @property
+    def last_report(self) -> ErrorReport | None:
+        """The validation harness's report over the current window
+        (:func:`~repro.core.validation.online_drift`); ``None`` below
+        ``min_samples`` and after :meth:`reset`."""
+        if self.samples < self.min_samples:
+            return None
+        predicted, observed = zip(*self._pairs)
+        return online_drift(list(predicted), list(observed))
 
     @staticmethod
     def symmetric_error(predicted: float, observed: float) -> float:
@@ -133,22 +144,18 @@ class DriftDetector:
 
     def update(self, predicted: float, observed: float) -> bool:
         """Record one pair; return True when the window is in drift."""
-        self._predicted.append(predicted)
-        self._observed.append(observed)
-        if self.samples < self.min_samples:
+        self._pairs.append((predicted, observed))
+        errors = self._errors
+        errors.append(self.symmetric_error(predicted, observed))
+        if len(errors) < self.min_samples:
             return False
-        self.last_report = online_drift(list(self._predicted), list(self._observed))
-        self.last_score = sum(
-            self.symmetric_error(p, o)
-            for p, o in zip(self._predicted, self._observed, strict=True)
-        ) / self.samples
+        self.last_score = sum(errors) / len(errors)
         return self.last_score > self.threshold
 
     def reset(self) -> None:
         """Forget the window (e.g. after the breaker closes again)."""
-        self._predicted.clear()
-        self._observed.clear()
-        self.last_report = None
+        self._pairs.clear()
+        self._errors.clear()
         self.last_score = None
 
 

@@ -359,7 +359,13 @@ class OpenLoopServer(Generic[RequestT]):
             else:  # every slot free: the rest of the queue pumps out
                 pump(waiting[0][0])
         if tsdb is not None:
-            # Final fold so the stored run ends at the run's end state.
-            last = max((r.completed for r in result.served), default=0.0)
+            # Final fold so the stored run ends at the run's end state:
+            # after the last completion and after the last arrival (the
+            # run may end on refusals, or serve nothing at all), so it
+            # never lands before an earlier fold.
+            last = max(
+                max((r.completed for r in result.served), default=0.0),
+                max(arrivals, default=0.0),
+            )
             tsdb.pump(metrics, last)
         return result

@@ -50,6 +50,76 @@ class TestInstruments:
             reg.histogram("lat_cycles", buckets=(10.0, 50.0))
 
 
+class TestRepeatedLookups:
+    """A repeated lookup is answered from the labels as passed; every
+    other one still goes through the validated path."""
+
+    def test_keyword_order_and_value_type_find_one_instrument(self):
+        reg = MetricsRegistry()
+        first = reg.counter("calls_total", device="1", path="accel")
+        assert reg.counter("calls_total", device="1", path="accel") is first
+        assert reg.counter("calls_total", path="accel", device="1") is first
+        assert reg.counter("calls_total", device=1, path="accel") is first
+        assert reg.counter("calls_total", path="accel", device=1) is first
+        assert list(reg.snapshot()) == ['calls_total{device="1",path="accel"}']
+
+    def test_equal_values_that_render_differently_stay_apart(self):
+        reg = MetricsRegistry()
+        reg.counter("x_total", device=1).inc()
+        reg.counter("x_total", device=True).inc(2)
+        reg.counter("x_total", device=1.0).inc(3)
+        assert reg.snapshot() == {
+            'x_total{device="1"}': 1.0,
+            'x_total{device="1.0"}': 3.0,
+            'x_total{device="True"}': 2.0,
+        }
+
+    def test_unhashable_label_value(self):
+        reg = MetricsRegistry()
+        reg.gauge("g", tags=["a", "b"]).set(2)
+        assert reg.gauge("g", tags=["a", "b"]).value == 2.0
+        assert reg.snapshot() == {"g{tags=\"['a', 'b']\"}": 2.0}
+
+    def test_kind_conflicts_raise_after_a_cached_lookup(self):
+        reg = MetricsRegistry()
+        assert reg.counter("z_total", device="a") is reg.counter("z_total", device="a")
+        with pytest.raises(ValueError, match="counter"):
+            reg.gauge("z_total", device="a")
+        with pytest.raises(ValueError, match="counter"):
+            reg.histogram("z_total", device="a")
+
+    def test_bucket_mismatch_raises_after_a_cached_lookup(self):
+        reg = MetricsRegistry()
+        hist = reg.histogram("lat_cycles", buckets=(10.0, 100.0), device="a")
+        assert reg.histogram("lat_cycles", buckets=(10.0, 100.0), device="a") is hist
+        assert reg.histogram("lat_cycles", buckets=[10, 100], device="a") is hist
+        with pytest.raises(ValueError, match="buckets"):
+            reg.histogram("lat_cycles", buckets=(10.0, 50.0), device="a")
+        with pytest.raises(ValueError, match="buckets"):
+            reg.histogram("lat_cycles", device="a")
+        default = reg.histogram("wait_cycles")
+        assert reg.histogram("wait_cycles") is default
+        with pytest.raises(ValueError, match="buckets"):
+            reg.histogram("wait_cycles", buckets=(1.0,))
+
+    def test_only_reusable_lookups_are_remembered(self):
+        reg = MetricsRegistry()
+        hist = reg.histogram("h_cycles", buckets=(1.0, 2.0))
+        for _ in range(3):
+            assert reg.histogram("h_cycles", buckets=iter((1.0, 2.0))) is hist
+            assert reg.counter("n_total", device=7) is reg.counter("n_total", device="7")
+        assert len(reg._lookups) == 2  # the tuple-bucket and "7" lookups
+
+    def test_series_pairs_follow_creation_and_run_probes(self):
+        reg = MetricsRegistry()
+        reg.counter("b_total", device="x")
+        reg.histogram("a_cycles")
+        reg.add_probe(lambda r: r.gauge("probed").set(1))
+        pairs = reg.series()
+        assert [key for key, _ in pairs] == ['b_total{device="x"}', "a_cycles", "probed"]
+        assert pairs[1][1] is reg.histogram("a_cycles")
+
+
 class TestHistogram:
     def test_observe_and_cumulative_snapshot(self):
         h = Histogram(buckets=(10.0, 100.0))

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.hw import Fifo
 from repro.obs import TimeSeriesStore
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, watch_fifo
 from repro.obs.tsdb import series_key
 
 
@@ -124,6 +125,71 @@ class TestPump:
     def test_pump_none_metrics_is_a_noop(self):
         store = TimeSeriesStore()
         assert store.pump(None, at=1.0) == 0
+
+    def test_pumps_store_what_snapshots_report(self):
+        # The pump contract over several folds of a changing registry:
+        # every pumped series holds exactly the values snapshot() showed
+        # at each pump instant, instruments created between pumps (and
+        # by a probe) included.
+        metrics = MetricsRegistry()
+        fifo = Fifo(8, "ingress")
+        watch_fifo(metrics, fifo)
+        store = TimeSeriesStore()
+        expected: dict[str, list[tuple[float, float]]] = {}
+        written = []
+
+        def fold(at):
+            for key, value in metrics.snapshot().items():
+                if isinstance(value, dict):
+                    expected.setdefault(f"{key}:count", []).append((at, float(value["count"])))
+                    expected.setdefault(f"{key}:sum", []).append((at, float(value["sum"])))
+                else:
+                    expected.setdefault(key, []).append((at, float(value)))
+            written.append(store.pump(metrics, at))
+
+        metrics.counter("calls_total", device="a", path="accel").inc()
+        metrics.gauge("depth").set(3)
+        fold(100.0)
+        metrics.counter("calls_total", path="accel", device="a").inc(2)
+        metrics.counter("calls_total", device="b", path="cpu").inc()
+        metrics.histogram("wait_cycles", device="a").observe(250.0)
+        fifo.push(1)
+        fold(200.0)
+        metrics.gauge("depth").dec(5)
+        metrics.histogram("wait_cycles", device="a").observe(40_000.0)
+        metrics.histogram("size_bytes", buckets=(64.0, 512.0)).observe(100)
+        fifo.push(2)
+        fifo.pop()
+        fold(300.0)
+        fold(400.0)  # nothing changed: every series still gets a point
+
+        assert store.series_names() == sorted(expected)
+        for name, points in expected.items():
+            assert store.points(name) == points, name
+        assert 'wait_cycles{device="a"}:count' in expected
+        assert store.snapshot()["points"] == sum(written)
+        assert store.pumps == 4 and store.last_at == 400.0
+
+    def test_pump_and_record_share_a_series(self):
+        metrics = MetricsRegistry()
+        metrics.gauge("depth", pool="p").set(4)
+        store = TimeSeriesStore()
+        store.record("depth", 10.0, 1.0, pool="p")
+        store.pump(metrics, at=20.0)
+        store.record("depth", 30.0, 2.0, pool="p")
+        store.pump(metrics, at=40.0)
+        assert store.series_names() == ['depth{pool="p"}']
+        assert store.points('depth{pool="p"}') == [
+            (10.0, 1.0),
+            (20.0, 4.0),
+            (30.0, 2.0),
+            (40.0, 4.0),
+        ]
+
+    def test_pumping_an_empty_registry_writes_nothing(self):
+        store = TimeSeriesStore()
+        assert store.pump(MetricsRegistry(), at=5.0) == 0
+        assert store.last_at is None and store.last_pump_at == 5.0
 
     def test_maybe_pump_throttles(self):
         metrics = MetricsRegistry()

@@ -1,7 +1,11 @@
 """Drift detection and the CPU fallback path."""
 
+import random
+from collections import deque
+
 import pytest
 
+from repro.core.validation import online_drift
 from repro.hw.stats import ErrorReport
 from repro.runtime import CpuFallback, DriftDetector, rpc_cpu_fallback
 from repro.workloads.rpc import ENTERPRISE_MIX
@@ -56,6 +60,31 @@ class TestDriftDetector:
         det.update(100.0, 200.0)
         det.update(100.0, 200.0)
         assert isinstance(det.last_report, ErrorReport)
+
+    def test_score_and_report_match_rescoring_the_window(self):
+        # A seeded stream three windows long, with zero, equal and
+        # one-sided-zero pairs and a reset in the middle: the kept error
+        # window scores bit-for-bit what re-scoring the pairs gives.
+        rng = random.Random(7)
+        det = DriftDetector(window=16, threshold=0.5, min_samples=5)
+        window: deque[tuple[float, float]] = deque(maxlen=16)
+        specials = {9: (0.0, 0.0), 10: (250.0, 250.0), 11: (0.0, 40.0), 30: (75.0, 0.0)}
+        for i in range(48):
+            if i == 24:
+                det.reset()
+                window.clear()
+                assert det.last_report is None and det.last_score is None
+            p, o = specials.get(i, (rng.uniform(50, 500), rng.uniform(50, 500)))
+            window.append((p, o))
+            drifted = det.update(p, o)
+            if len(window) < det.min_samples:
+                assert drifted is False
+                assert det.last_report is None
+                continue
+            score = sum(DriftDetector.symmetric_error(*pair) for pair in window) / len(window)
+            assert det.last_score == score
+            assert drifted is (score > det.threshold)
+            assert det.last_report == online_drift([p for p, _ in window], [o for _, o in window])
 
     def test_reset_clears_window(self):
         det = DriftDetector(window=8, threshold=0.5, min_samples=2)

@@ -4,9 +4,11 @@ import math
 
 import pytest
 
+from repro.obs import Obs
 from repro.runtime.pool import rpc_pool
 from repro.runtime.serving import (
     DEFAULT_PRIORITY,
+    REASON_ADMISSION_REJECTED,
     REJECTION_REASONS,
     OpenLoopServer,
     ServeResult,
@@ -186,3 +188,46 @@ class TestHedgingUnderLoad:
         hedged_and_answered = [r for r in res.served if r.hedges > 0 and r.ok]
         assert hedged_and_answered, "a storm run should rescue some calls by hedging"
         assert pool.invariant_violations == 0
+
+
+class _RefuseFrom:
+    """Duck-typed controller refusing every arrival at or after ``at``."""
+
+    def __init__(self, at: float):
+        self.at = at
+
+    def admission_reason(self, request, priority, now, queue_depth):
+        return REASON_ADMISSION_REJECTED if now >= self.at else None
+
+
+class TestStoredRun:
+    """The time-series store a run leaves behind stays in time order,
+    and its final fold is the run's end state."""
+
+    REFUSED = 'server_requests_total{outcome="dropped",reason="admission_rejected"}'
+
+    def serve(self, refused: int):
+        """40 unloaded requests, the last ``refused`` of them refused at
+        the door (so the run ends on refusals after its last completion)."""
+        msgs, arrivals = ENTERPRISE_MIX.sample_open(seed=13, count=40, mean_gap=50_000.0)
+        obs = Obs.enabled(tracing=False, tsdb=True)
+        controller = _RefuseFrom(arrivals[len(arrivals) - refused])
+        server = OpenLoopServer(rpc_pool(obs=obs), controller=controller, obs=obs)
+        res = server.run(msgs, arrivals)
+        store = obs.tsdb
+        for name in store.series_names():
+            times = [at for at, _ in store.points(name)]
+            assert times == sorted(times), name
+        assert store.snapshot()["last_pump_at"] == arrivals[-1]
+        assert store.latest(self.REFUSED) == (arrivals[-1], float(refused))
+        assert store.rate(self.REFUSED) is not None
+        return res, arrivals
+
+    def test_nothing_served(self):
+        res, _ = self.serve(refused=40)
+        assert not res.served
+
+    def test_run_ends_on_refusals(self):
+        res, arrivals = self.serve(refused=20)
+        assert len(res.served) == 20
+        assert max(r.completed for r in res.served) < arrivals[-1]
