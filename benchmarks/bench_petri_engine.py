@@ -26,6 +26,7 @@ from repro.petri import (
     CompiledNet,
     CompiledSimulator,
     PetriNet,
+    Simulator,
     chain,
     make_simulator,
 )
@@ -64,24 +65,26 @@ def build_guarded(n_items: int = 200):
 IDIOMS = [("chain", build_chain), ("fanout", build_fanout), ("guard", build_guarded)]
 
 
+def _simulator(net, sinks, engine: str):
+    """The reference interpreter or the compiled engine over ``net``."""
+    if engine == "reference":
+        return Simulator(net, sinks=sinks)
+    return make_simulator(net, sinks=sinks)
+
+
 def run_once(build, engine: str):
     """One simulation run; returns (SimResult, firings)."""
     net, sinks, load = build()
-    sim = make_simulator(net, sinks=sinks, engine=engine)
+    sim = _simulator(net, sinks, engine)
     load(sim)
     result = sim.run()
     return result, sum(result.fired.values())
 
 
-def _time_run(build, engine: str, compiled: CompiledNet | None = None) -> tuple[int, int]:
+def _time_run(build, engine: str) -> tuple[int, int]:
     """CPU nanoseconds for one ``run()`` (setup and injection excluded)."""
     net, sinks, load = build()
-    if engine == "compiled":
-        sim = make_simulator(
-            net, sinks=sinks, engine=engine, compiled=CompiledNet(net)
-        )
-    else:
-        sim = make_simulator(net, sinks=sinks, engine=engine)
+    sim = _simulator(net, sinks, engine)
     load(sim)
     t0 = time.process_time_ns()
     result = sim.run()
@@ -213,7 +216,7 @@ def _time_reference_per_item(make_iface, items) -> int:
     t0 = time.process_time_ns()
     for item in items:
         iface = make_iface()
-        sim = make_simulator(iface.net, sinks=[iface.sink], engine="reference")
+        sim = Simulator(iface.net, sinks=[iface.sink])
         for place, payload, at in item:
             sim.inject(place, payload, at=at)
         sim.run()
@@ -324,9 +327,7 @@ def test_batched_mega_sweep(report, tmp_path):
 def _time_traced(build, tracer) -> int:
     """Best-effort CPU ns for one compiled run with the given tracer."""
     net, sinks, load = build()
-    sim = make_simulator(
-        net, sinks=sinks, engine="compiled", compiled=CompiledNet(net), tracer=tracer
-    )
+    sim = make_simulator(net, sinks=sinks, compiled=CompiledNet(net), tracer=tracer)
     load(sim)
     if tracer is not None and tracer.enabled:
         tracer.clear()

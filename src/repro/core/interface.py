@@ -75,10 +75,9 @@ class PerformanceInterface(abc.ABC, Generic[ItemT]):
         the default — but representations with a cheaper whole-matrix
         path override it (the Petri-net interface lowers its net once
         and runs a batch engine); sweep-shaped consumers
-        (:func:`repro.core.validation.validate_interface`,
-        :class:`repro.perf.sweep.SweepRunner`, autotuners, pool pricing)
-        call this instead of looping ``latency`` so they pick the fast
-        path up automatically.
+        (:func:`repro.core.validation.validate_interface`, autotuners,
+        pool pricing) call this instead of looping ``latency`` so they
+        pick the fast path up automatically.
         """
         return [self.latency(item) for item in items]
 

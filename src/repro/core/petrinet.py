@@ -21,7 +21,6 @@ from repro.petri import (
     CompiledNet,
     PetriNet,
     SimResult,
-    SimulationError,
     make_simulator,
 )
 
@@ -165,29 +164,24 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
         self.cache = cache
         self.tracer = tracer
         # The net's one lowering and the batch engine over it, each
-        # built on first use (False = not yet tried, None = the net
-        # cannot be compiled / batch-evaluated).  A warm-cache process
-        # never builds either.
-        self._compiled: CompiledNet | None | bool = False
-        self._batch: BatchEvaluator | None | bool = False
+        # built on first use (None = not built yet).  A warm-cache
+        # process never builds either.
+        self._compiled: CompiledNet | None = None
+        self._batch: BatchEvaluator | None = None
 
     def _expected_count(self, item: ItemT, injections: Sequence[Injection]) -> int:
         return self._expected(item) if self._expected is not None else len(injections)
 
-    def _compiled_net(self) -> CompiledNet | None:
-        if self._compiled is False:
-            try:
-                self._compiled = CompiledNet(self.net)
-            except SimulationError:
-                self._compiled = None
-        return self._compiled  # type: ignore[return-value]
+    def _compiled_net(self) -> CompiledNet:
+        if self._compiled is None:
+            self._compiled = CompiledNet(self.net)
+        return self._compiled
 
     def _run(
         self, injections: Sequence[Injection], expected: int, tracer
     ) -> SimResult:
-        """One per-item simulation on the interface's lowered net (the
-        reference engine when the net cannot be compiled), checked for
-        ``expected`` sink completions."""
+        """One per-item simulation on the interface's lowered net,
+        checked for ``expected`` sink completions."""
         sim = make_simulator(
             self.net, sinks=(self.sink,), compiled=self._compiled_net(), tracer=tracer
         )
@@ -201,12 +195,6 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
                 f"stuck marking: { {p: n for p, n in self.net.marking().items() if n} }"
             )
         return result
-
-    def simulate(self, item: ItemT) -> SimResult:
-        """Run the net on one item and return the raw result (uncached;
-        an attached tracer records the firings)."""
-        injections = self.tokenize(item)
-        return self._run(injections, self._expected_count(item, injections), self.tracer)
 
     def latency(self, item: ItemT) -> float:
         """A batch of one: see :meth:`evaluate_batch`."""
@@ -287,17 +275,12 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
         """The batch engine this interface has built, if any (exposes
         ``engine`` / ``items_codegen`` / ``items_columnar`` for tests,
         benches, and reports)."""
-        return self._batch if isinstance(self._batch, BatchEvaluator) else None
+        return self._batch
 
-    def _batch_engine(self) -> BatchEvaluator | None:
-        if self._batch is False:
-            try:
-                self._batch = BatchEvaluator(
-                    self.net, (self.sink,), compiled=self._compiled_net()
-                )
-            except SimulationError:
-                self._batch = None  # the per-item path runs (and reports) it
-        return self._batch  # type: ignore[return-value]
+    def _batch_engine(self) -> BatchEvaluator:
+        if self._batch is None:
+            self._batch = BatchEvaluator(self.net, (self.sink,), compiled=self._compiled_net())
+        return self._batch
 
     def evaluate_batch(self, items: Sequence[ItemT]) -> list[float]:
         """Latency for every item — the interface's one evaluation path
@@ -312,8 +295,7 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
         ``repro.petri.differential``) — and are stored under that key.
         They run one item at a time instead while an enabled tracer is
         attached (the batch engines emit no spans, and a trace must
-        show the work done) or when the net uses features the compiled
-        form does not support.
+        show the work done).
         """
         cache = self.cache
         out: list[float | None] = []
@@ -345,14 +327,11 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
     def _makespans(self, runs: list[tuple[Sequence[Injection], int]]) -> list[float]:
         """Makespans of ``(injections, expected)`` runs: one batch-engine
         pass, or one simulation per run while an enabled tracer is
-        attached or the net has no batch engine."""
+        attached."""
         tracer = self.tracer
-        if tracer is not None and not getattr(tracer, "enabled", True):
-            tracer = None
-        evaluator = self._batch_engine() if tracer is None else None
-        if evaluator is None:
+        if tracer is not None and getattr(tracer, "enabled", True):
             return [self._run(injs, n, tracer).makespan() for injs, n in runs]
-        results = evaluator.evaluate([injs for injs, _ in runs])
+        results = self._batch_engine().evaluate([injs for injs, _ in runs])
         makespans = []
         for (injs, expected), res in zip(runs, results, strict=True):
             if res.counts.get(self.sink, 0) != expected:

@@ -19,7 +19,7 @@ from repro.hw.stats import ErrorReport
 from .interface import PerformanceInterface
 
 if TYPE_CHECKING:
-    from repro.perf import EvalCache, SweepRunner
+    from repro.perf import EvalCache
 
 ItemT = TypeVar("ItemT")
 
@@ -78,7 +78,6 @@ def validate_interface(
     check_bounds: bool = False,
     throughput_repeat: int = 8,
     cache: "EvalCache | None" = None,
-    runner: "SweepRunner | None" = None,
 ) -> InterfaceReport[ItemT]:
     """Measure the model and score the interface on ``workload``.
 
@@ -89,10 +88,8 @@ def validate_interface(
     ``cache`` memoizes interface evaluations (attached to interfaces that
     expose a ``cache`` attribute, e.g. :class:`~.petrinet.PetriNetInterface`);
     the report's ``cache_stats`` records the hit rate this run contributed.
-    ``runner`` fans the independent ground-truth measurements across worker
-    processes (deterministic ordering; serial fallback when the model
-    cannot cross a process boundary).  Neither changes any reported error
-    number — only how fast (and how often) points are evaluated.
+    It changes no reported error number — only how often points are
+    evaluated.
     """
     if not workload:
         raise ValueError("workload must not be empty")
@@ -101,15 +98,10 @@ def validate_interface(
         interface.cache = cache
     stats0 = (cache.stats.hits, cache.stats.lookups) if cache is not None else None
 
-    def measure(fn, items):
-        if runner is not None:
-            return runner.map(fn, items)
-        return [fn(item) for item in items]
-
     latency_report = None
     bounds_report = None
     if check_latency or check_bounds:
-        actual_lat = measure(model.measure_latency, workload)
+        actual_lat = [model.measure_latency(item) for item in workload]
         if check_latency:
             # The batched path when the interface has one (identical
             # numbers, proven by repro.petri.differential), a plain
@@ -134,10 +126,10 @@ def validate_interface(
 
     throughput_report = None
     if check_throughput:
-        actual_tp = measure(
-            lambda item: model.measure_throughput(item, repeat=throughput_repeat),
-            workload,
-        )
+        actual_tp = [
+            model.measure_throughput(item, repeat=throughput_repeat)
+            for item in workload
+        ]
         predicted_tp = [interface.throughput(item) for item in workload]
         throughput_report = ErrorReport.of(predicted_tp, actual_tp)
 

@@ -426,7 +426,6 @@ def check_corners(
     domains: Mapping[str, tuple[float, float]],
     *,
     epsilon: float = 0.02,
-    engine: str = "auto",
 ) -> list[CornerCheck]:
     """Run one token per domain corner through the engine and check the
     observed latency lies inside the concretized symbolic bound.
@@ -449,7 +448,7 @@ def check_corners(
         full = {n: 0.0 for n in bounds.form.features}
         full.update(point)
         net = net_factory()
-        sim = make_simulator(net, sinks=(bounds.sink,), engine=engine)
+        sim = make_simulator(net, sinks=(bounds.sink,))
         sim.inject_stream(bounds.entry, [_payload(full)])
         result = sim.run()
         latencies = result.latencies()

@@ -242,7 +242,6 @@ def analyze_bundle(
     bundle: InterfaceBundle,
     *,
     epsilon: float | None = None,
-    engine: str = "auto",
 ) -> Verification:
     """Run the full static analysis over one bundle and derive its
     contract: net bounds + corner concretization + monotonicity
@@ -284,7 +283,6 @@ def analyze_bundle(
                 v.bounds,
                 domains,
                 epsilon=eps,
-                engine=engine,
             )
         except SimulationError as exc:
             v.notes.append(f"corner simulation failed: {exc}")

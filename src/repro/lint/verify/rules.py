@@ -203,7 +203,6 @@ def verify_bundle(
     bundle: InterfaceBundle,
     *,
     epsilon: float | None = None,
-    engine: str = "auto",
     registry: RuleRegistry | None = None,
 ) -> tuple[LintReport, Verification]:
     """Statically verify one bundle: derive its contract, check every
@@ -212,7 +211,7 @@ def verify_bundle(
     verification result (whose ``.contract`` is the derived contract)."""
     from ..registry import DEFAULT_REGISTRY
 
-    v = analyze_bundle(bundle, epsilon=epsilon, engine=engine)
+    v = analyze_bundle(bundle, epsilon=epsilon)
     ctx = VerifyContext(v=v)
     report = LintReport()
     report.extend((registry or DEFAULT_REGISTRY).run_family("verify", ctx))

@@ -14,8 +14,8 @@ Two clocks, two trace processes:
   viewer; 1 cycle = 1 µs of display time).  Petri transition firings,
   DRAM accesses, device offloads, and queue waits live here.
 * **wall** — timestamps are real microseconds since the tracer was
-  created.  Host-side work (sweep maps, compile steps) lives here via
-  :meth:`Tracer.wall_span`.
+  created.  Host-side work timed with :meth:`Tracer.wall_span` lives
+  here; nothing in the repository emits wall-clock spans today.
 
 Pay-for-what-you-use: instrumented code takes ``tracer=None`` and
 guards each emission with ``if tracer is not None`` — no tracer, no

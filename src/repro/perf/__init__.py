@@ -1,8 +1,7 @@
-"""Evaluation layer: memoized, parallel simulation of performance interfaces.
+"""Evaluation layer: memoized simulation of performance interfaces.
 
 The paper's pitch is that performance interfaces are *cheap to evaluate*;
-this package makes sure we never pay even that cheap cost twice, and that
-independent evaluation points use all available cores:
+this package makes sure we never pay even that cheap cost twice:
 
 * :mod:`repro.perf.fingerprint` — stable, content-addressed identities for
   nets and workload features (the cache key material).
@@ -12,9 +11,6 @@ independent evaluation points use all available cores:
 * :mod:`repro.perf.store` — :class:`PersistentStore`, the append-only
   JSONL file behind ``EvalCache(path=...)``: atomic cross-process
   appends, corruption-tolerant replay.
-* :mod:`repro.perf.sweep` — :class:`SweepRunner`, which fans independent
-  simulation points across worker processes with deterministic result
-  ordering, a serial fallback, and an in-process batched mode.
 
 See ``docs/performance.md`` for key construction and invalidation rules.
 """
@@ -22,13 +18,11 @@ See ``docs/performance.md`` for key construction and invalidation rules.
 from .cache import CacheStats, EvalCache
 from .fingerprint import UncacheableError, net_fingerprint, workload_key
 from .store import PersistentStore, spillable
-from .sweep import SweepRunner
 
 __all__ = [
     "CacheStats",
     "EvalCache",
     "PersistentStore",
-    "SweepRunner",
     "UncacheableError",
     "net_fingerprint",
     "spillable",

@@ -24,12 +24,13 @@ content:
   guard, servers, priority, timeout) is rendered as text in sorted
   order.  A delay or guard compiled from ``.pnet`` text is identified by
   its DSL source (the expression's ``.src``); a Python callable by its
-  bytecode, constants, closure values and defaults, and transitively by
-  the globals it names: a helper function by its own fingerprint, a
-  plain-data constant by its canonical bytes, anything else (modules,
-  classes, opaque objects) by module and qualified name.  Editing a
-  formula, a helper it calls or a module constant it reads changes the
-  fingerprint and invalidates the cached results.
+  bytecode, constants, closure values and defaults, a bound method also
+  by the object it is bound to, and transitively by the globals it
+  names: a helper function by its own fingerprint, a plain-data
+  constant by its canonical bytes, anything else (modules, classes,
+  opaque objects) by module and qualified name.  Editing a formula, a
+  helper it calls or a module constant it reads changes the fingerprint
+  and invalidates the cached results.
 
 The pickle stream is hashed, never unpickled.  Bytecode and pickle bytes
 may change between Python versions, which costs a miss, not a wrong hit.
@@ -191,8 +192,11 @@ def callable_fingerprint(fn: Any) -> str:
     functions are identified by bytecode + constants + closure values +
     defaults, plus the globals their code names: helper functions by
     their own fingerprint (transitively), plain-data values by their
-    canonical bytes, anything else by module and qualified name.
-    Builtins / C callables have no inspectable content and are rejected.
+    canonical bytes, anything else by module and qualified name.  A
+    bound method adds the object it is bound to: a class or module by
+    qualified name, an instance by its canonical bytes (an instance
+    with no stable encoding is rejected).  Builtins / C callables have
+    no inspectable content and are rejected.
     """
     return _fingerprint(fn, set())
 
@@ -214,12 +218,16 @@ def _fingerprint(fn: Any, active: set[int]) -> str:
     active.add(ident)
     try:
         closure = getattr(fn, "__closure__", None) or ()
+        owner = getattr(fn, "__self__", None)
+        if isinstance(owner, (type, types.ModuleType)):
+            owner = _qualified_name(owner)
         content = (
             code,
             tuple(cell.cell_contents for cell in closure),
             getattr(fn, "__defaults__", None),
             getattr(fn, "__kwdefaults__", None),
             _globals_content(code, getattr(fn, "__globals__", {}), active),
+            owner,
         )
         return "code:" + hashlib.sha256(_encode(content, active)).hexdigest()
     finally:
@@ -277,7 +285,6 @@ def _transition_lines(t: Transition) -> list[str]:
         else f"const:{float(t.delay).hex()}"
     )
     guard = "none" if t.guard is None else callable_fingerprint(t.guard)
-    produce = "none" if t.produce is None else callable_fingerprint(t.produce)
     timeout = (
         "none" if t.timeout is None else f"{float(t.timeout[0]).hex()}->{t.timeout[1]}"
     )
@@ -287,7 +294,6 @@ def _transition_lines(t: Transition) -> list[str]:
         "  out " + " ".join(f"{a.place}:{a.weight}" for a in t.outputs),
         f"  delay {delay}",
         f"  guard {guard}",
-        f"  produce {produce}",
         f"  servers {t.servers}",
         f"  priority {t.priority}",
         f"  timeout {timeout}",

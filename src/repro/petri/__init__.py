@@ -8,17 +8,21 @@ without computing any of its functional outputs.
 
 Typical use::
 
-    from repro.petri import PetriNet, Simulator
+    from repro.petri import PetriNet, make_simulator
 
     net = PetriNet("adder")
     net.add_place("in")
     net.add_place("out")
     net.add_transition("alu", ["in"], ["out"], delay=3)
 
-    sim = Simulator(net, sinks=["out"])
+    sim = make_simulator(net, sinks=["out"])
     sim.inject_stream("in", range(100))
     result = sim.run()
     result.latencies()    # -> per-item end-to-end cycles
+
+:func:`make_simulator` returns the compiled engine; the reference
+:class:`Simulator` is the oracle :mod:`repro.petri.differential` checks
+it against.
 """
 
 from .components import (
@@ -40,23 +44,14 @@ from .analysis import (
     t_invariants,
 )
 from .batched import (
-    BATCH_ENGINE_ENV_VAR,
     BATCH_ENGINES,
     BatchEvaluator,
     BatchItemResult,
     chain_spec,
     chain_unsupported_reasons,
     codegen_supported,
-    default_batch_engine,
 )
-from .compiled import (
-    ENGINES,
-    CompiledNet,
-    CompiledSimulator,
-    make_simulator,
-    supports,
-    unsupported_features,
-)
+from .compiled import CompiledNet, CompiledSimulator, make_simulator
 from .dot import to_dot
 from .dsl import parse, to_pnet
 from .errors import (
@@ -75,8 +70,6 @@ from .token import Token
 
 __all__ = [
     "BATCH_ENGINES",
-    "BATCH_ENGINE_ENV_VAR",
-    "ENGINES",
     "AnalysisError",
     "Arc",
     "BatchEvaluator",
@@ -109,7 +102,6 @@ __all__ = [
     "chain_unsupported_reasons",
     "codegen_supported",
     "covers_all_positive",
-    "default_batch_engine",
     "find_cycles",
     "incidence_matrix",
     "make_simulator",
@@ -118,9 +110,7 @@ __all__ = [
     "p_invariants",
     "parse",
     "run_workload",
-    "supports",
     "t_invariants",
     "to_dot",
     "to_pnet",
-    "unsupported_features",
 ]

@@ -25,7 +25,7 @@ net in a single pass.  Two engines, selected per net:
   Python specialized to the net — no event heap, no deques, no Token
   churn — and executed per item.
 
-* **columnar** — the general fallback: the compiled engine's own
+* **columnar** — every other net: the compiled engine's own
   :class:`~repro.petri.compiled.EventLoop`, built once per net with its
   wake masks, guard slots and sink tables, run per item without a
   tracer or net write-back, its completions reduced to a makespan and
@@ -45,12 +45,11 @@ engines).
 
 from __future__ import annotations
 
-import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any
 
-from .compiled import CompiledNet, unsupported_features
+from .compiled import CompiledNet
 from .dsl import _SAFE_GLOBALS
 from .errors import DefinitionError, SimulationError
 from .net import PetriNet
@@ -59,20 +58,6 @@ from .token import Token, _token_ids
 #: Batch engine selector values (``auto`` = codegen when the net is a
 #: supported chain, columnar otherwise).
 BATCH_ENGINES: tuple[str, ...] = ("auto", "codegen", "columnar")
-
-#: Environment override for the default batch engine (the differential
-#: harness forces each engine in turn through this).
-BATCH_ENGINE_ENV_VAR = "REPRO_PETRI_BATCH_ENGINE"
-
-
-def default_batch_engine() -> str:
-    """Session-wide batch engine: ``$REPRO_PETRI_BATCH_ENGINE`` or auto."""
-    engine = os.environ.get(BATCH_ENGINE_ENV_VAR, "auto")
-    if engine not in BATCH_ENGINES:
-        raise ValueError(
-            f"{BATCH_ENGINE_ENV_VAR}={engine!r} is not one of {', '.join(BATCH_ENGINES)}"
-        )
-    return engine
 
 
 class BatchItemResult:
@@ -174,15 +159,13 @@ def _walk_chain(
 ) -> list[str] | ChainSpec:
     """The codegen checks and the entry->sink walk, done once: the
     reasons the net is unsupported, or its :class:`ChainSpec`."""
-    reasons = unsupported_features(net)
-    if reasons:
-        return reasons
     if len(sinks) != 1:
         return [f"codegen needs exactly one sink (got {list(sinks)!r})"]
     sink = sinks[0]
     c = compiled if compiled is not None else CompiledNet(net)
     n_places = len(c.place_names)
     # Per-transition shape checks.
+    reasons: list[str] = []
     for ti, name in enumerate(c.t_names):
         if len(c.t_in[ti]) != 1 or c.t_in[ti][0][1] != 1:
             reasons.append(f"transition {name!r} is not single-input weight-1")
@@ -399,7 +382,6 @@ class _CodegenRunner:
             tok.payload = None
             tok.born = None
             tok.uid = next(_token_ids)
-            tok.trace = None
             namespace[f"delay{s}"] = fn
             namespace[f"tok{s}"] = tok
             namespace[f"consumed{s}"] = {spec.in_names[s]: [tok]}
@@ -445,8 +427,7 @@ class BatchEvaluator:
         sinks: Places whose deposits count as completions.
         engine: ``"auto"`` (codegen when the net is a supported chain,
             columnar otherwise), ``"codegen"`` (raises when the net is
-            not a chain), or ``"columnar"``.  ``None`` defers to
-            ``$REPRO_PETRI_BATCH_ENGINE``/auto.
+            not a chain), or ``"columnar"``.
         compiled: Share a pre-built :class:`CompiledNet`.
 
     Each item is a sequence of injections (``Injection`` objects or
@@ -459,20 +440,13 @@ class BatchEvaluator:
         net: PetriNet,
         sinks: Sequence[str] = ("out",),
         *,
-        engine: str | None = None,
+        engine: str = "auto",
         compiled: CompiledNet | None = None,
     ):
-        if engine is None:
-            engine = default_batch_engine()
         if engine not in BATCH_ENGINES:
             raise ValueError(
                 f"unknown batch engine {engine!r}; expected one of "
                 f"{', '.join(BATCH_ENGINES)}"
-            )
-        reasons = unsupported_features(net)
-        if reasons:
-            raise SimulationError(
-                f"net {net.name!r} cannot be batch-evaluated: " + "; ".join(reasons)
             )
         if compiled is not None and compiled.net is not net:
             raise SimulationError("compiled form belongs to a different net object")
@@ -546,7 +520,6 @@ class BatchEvaluator:
                 token.payload = payload
                 token.born = None
                 token.uid = next_uid()
-                token.trace = None
             inj.append((at, token.uid, place_index[place], token))
         # The (at, uid) arrival order CompiledSimulator.run sorts into.
         inj.sort()

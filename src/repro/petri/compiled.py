@@ -31,13 +31,11 @@ built once per ``(CompiledNet, sinks)``: :class:`CompiledSimulator` runs
 it and writes the end state back into the net, and the columnar batch
 engine (:mod:`repro.petri.batched`) runs the same loop per workload item.
 
-Fallback rules (see ``docs/performance.md``): the fast path refuses nets
-that use features it does not specialize — currently custom ``produce``
-hooks (arbitrary token fabrication) and per-token ``trace`` recording —
-and :func:`make_simulator` transparently falls back to the reference
-engine for them.  Everything else (weighted arcs, capacities, guards,
+Every net runs on this engine — weighted arcs, capacities, guards,
 callable delays, multi-server transitions, priorities, timeout fault
-arcs) runs on the fast path.
+arcs — and :func:`make_simulator` is the production entry point.  The
+reference engine is the oracle :mod:`repro.petri.differential` checks
+it against.
 """
 
 from __future__ import annotations
@@ -52,42 +50,12 @@ from .net import PetriNet
 from .simulate import Completion, SimResult, Simulator
 from .token import Token, _token_ids
 
-#: Engine selector values accepted by :func:`make_simulator` and the
-#: ``pnet run --engine`` flag.
-EngineName = Literal["auto", "reference", "compiled"]
-
-ENGINES: tuple[str, ...] = ("auto", "reference", "compiled")
-
 # Event kinds, ordered only for readability — (time, seq) alone decides
 # heap order because seq is unique.  (Injections never touch the heap:
 # they are all known before the run starts and always sort before
 # engine-generated events at the same instant, so the run loop merges
 # them from a sorted side list.)
 _COMPLETE, _FAIL = 1, 2
-
-
-def unsupported_features(net: PetriNet, *, trace: bool = False) -> list[str]:
-    """Why the fast path cannot run ``net`` (empty list = it can).
-
-    The reasons are part of the documented contract: authors reading a
-    fallback log line should be able to tell which net feature to drop
-    to get back on the fast path.
-    """
-    reasons: list[str] = []
-    if trace:
-        reasons.append("trace=True records per-token paths (reference engine only)")
-    for t in net.ordered_transitions():
-        if t.produce is not None:
-            reasons.append(
-                f"transition {t.name!r} has a custom produce hook "
-                "(arbitrary token fabrication is not specialized)"
-            )
-    return reasons
-
-
-def supports(net: PetriNet, *, trace: bool = False) -> bool:
-    """True when the compiled engine can run ``net`` exactly."""
-    return not unsupported_features(net, trace=trace)
 
 
 class CompiledNet:
@@ -127,11 +95,6 @@ class CompiledNet:
     )
 
     def __init__(self, net: PetriNet):
-        reasons = unsupported_features(net)
-        if reasons:
-            raise SimulationError(
-                f"net {net.name!r} cannot be compiled: " + "; ".join(reasons)
-            )
         self.net = net
         self.place_names: list[str] = list(net.places)
         self.place_index = {name: i for i, name in enumerate(self.place_names)}
@@ -259,11 +222,11 @@ class CompiledNet:
 
 
 class CompiledSimulator:
-    """Drop-in replacement for :class:`Simulator` on compiled nets.
+    """The production per-item engine: a drop-in replacement for
+    :class:`Simulator`.
 
-    Same constructor shape (minus ``trace``, which the fast path does
-    not support), same ``inject``/``inject_stream``/``run`` API, and —
-    by differential test — the same results.  Pass a pre-built
+    Same constructor shape, same ``inject``/``inject_stream``/``run``
+    API, and — by differential test — the same results.  Pass a pre-built
     :class:`CompiledNet` to share one lowering across many simulators.
 
     ``tracer`` (see :class:`repro.obs.Tracer`) emits the same firing
@@ -325,7 +288,6 @@ class CompiledSimulator:
                 token.payload = payload
                 token.born = None
                 token.uid = next_uid()
-                token.trace = None
             pending((t, place, token))
             tokens.append(token)
             t += gap
@@ -826,7 +788,7 @@ class EventLoop:
                         )
                 if kind == _COMPLETE:
                     # Single output arc: the first child of the consumed
-                    # token has the same payload/born/trace, so reuse
+                    # token has the same payload and born, so reuse
                     # the (otherwise dead) token object instead of
                     # fabricating a child per hop; extra weight copies
                     # are fabricated inline.
@@ -858,13 +820,12 @@ class EventLoop:
                             comps.append(comp)
                         else:
                             tokens[p].append(tok)
-                        payload, born, trace = tok.payload, tok.born, tok.trace
+                        payload, born = tok.payload, tok.born
                         for _ in range(w - 1):
                             child = new_token(Token)
                             child.payload = payload
                             child.born = born
                             child.uid = next_uid()
-                            child.trace = None if trace is None else list(trace)
                             if comps is not None:
                                 comp = new_comp(Completion)
                                 comp.time = now
@@ -915,32 +876,13 @@ def make_simulator(
     net: PetriNet,
     sinks: Sequence[str] = ("out",),
     *,
-    trace: bool = False,
-    engine: str = "auto",
     compiled: CompiledNet | None = None,
     tracer=None,
-) -> Simulator | CompiledSimulator:
-    """Build the right engine for ``net``.
+) -> CompiledSimulator:
+    """The per-item simulator for ``net``: a :class:`CompiledSimulator`.
 
-    ``engine`` is ``"auto"`` (compiled when supported, reference
-    otherwise), ``"reference"``, or ``"compiled"`` (raises
-    :class:`SimulationError` naming the unsupported features when the
-    net cannot be compiled).  ``compiled`` shares a pre-built
-    :class:`CompiledNet` across simulators in a sweep.  ``tracer``
-    (:class:`repro.obs.Tracer`) records per-firing spans on either
-    engine without affecting results.
+    ``compiled`` shares a pre-built :class:`CompiledNet` across
+    simulators in a sweep.  ``tracer`` (:class:`repro.obs.Tracer`)
+    records per-firing spans without affecting results.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}")
-    if engine == "reference":
-        return Simulator(net, sinks, trace=trace, tracer=tracer)
-    reasons = unsupported_features(net, trace=trace)
-    if engine == "compiled":
-        if reasons:
-            raise SimulationError(
-                f"engine='compiled' cannot run net {net.name!r}: " + "; ".join(reasons)
-            )
-        return CompiledSimulator(net, sinks, compiled=compiled, tracer=tracer)
-    if reasons:
-        return Simulator(net, sinks, trace=trace, tracer=tracer)
     return CompiledSimulator(net, sinks, compiled=compiled, tracer=tracer)

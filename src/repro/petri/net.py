@@ -40,11 +40,6 @@ DelaySpec = float | int | Callable[[Mapping[str, Sequence[Token]]], float]
 #: Type of a guard: predicate over the tokens that would be consumed.
 GuardFn = Callable[[Mapping[str, Sequence[Token]]], bool]
 
-#: Type of a production function: maps consumed tokens to tokens to
-#: deposit, keyed by output-place name.  When omitted, the default
-#: production forwards children of the first consumed token.
-ProduceFn = Callable[[Mapping[str, Sequence[Token]]], Mapping[str, Sequence[Token]]]
-
 
 @dataclass
 class Place:
@@ -119,6 +114,10 @@ class Arc:
 class Transition:
     """A processing element: consumes tokens, delays, produces tokens.
 
+    A completion deposits :meth:`default_production`: every output place
+    receives ``weight`` children of the first consumed token, preserving
+    birth timestamps for latency measurement.
+
     Args:
         name: Unique identifier within the net.
         inputs: Input arcs.  The transition is enabled when every input
@@ -130,9 +129,6 @@ class Transition:
             tokens (keyed by input-place name) returning the delay.
         guard: Optional predicate over the would-be-consumed tokens;
             the transition is enabled only when it returns ``True``.
-        produce: Optional production function; by default, every output
-            place receives ``weight`` children of the first consumed
-            token, preserving birth timestamps for latency measurement.
         servers: Maximum concurrent firings (``None`` = unbounded).
         priority: Tie-break order when several transitions are enabled
             at the same instant; lower fires first, then name order.
@@ -152,7 +148,6 @@ class Transition:
         outputs: Sequence[Arc],
         delay: DelaySpec = 0.0,
         guard: GuardFn | None = None,
-        produce: ProduceFn | None = None,
         servers: int | None = 1,
         priority: int = 0,
         timeout: tuple[float, str] | None = None,
@@ -171,7 +166,6 @@ class Transition:
         self.outputs = list(outputs)
         self.delay = delay
         self.guard = guard
-        self.produce = produce
         self.servers = servers
         self.priority = priority
         self.timeout = timeout

@@ -104,14 +104,16 @@ class SimResult:
 class Simulator:
     """Runs a :class:`~repro.petri.net.PetriNet` over an injected workload.
 
+    The reference interpreter, written for clarity: production code
+    runs :class:`~repro.petri.compiled.CompiledSimulator` (through
+    :func:`~repro.petri.compiled.make_simulator`), and this engine is
+    the oracle :mod:`repro.petri.differential` checks it against.
+
     Args:
         net: The net to execute.  Its marking is reset on :meth:`run`.
         sinks: Place names treated as terminal; tokens deposited there
             are recorded as :class:`Completion` and removed, so sink
             capacity never throttles the net.
-        trace: When true, every token records its ``(transition, time)``
-            path — useful for debugging interface nets, costly for
-            large workloads.
         tracer: Optional span sink (anything with
             ``add_span(name, start, end, *, cat, tid)`` — see
             :class:`repro.obs.Tracer`).  Each firing emits one span
@@ -131,7 +133,6 @@ class Simulator:
         net: PetriNet,
         sinks: Sequence[str] = ("out",),
         *,
-        trace: bool = False,
         tracer=None,
     ):
         for s in sinks:
@@ -139,7 +140,6 @@ class Simulator:
                 raise SimulationError(f"sink {s!r} is not a place of net {net.name!r}")
         self.net = net
         self.sinks = list(sinks)
-        self.trace = trace
         self.tracer = (
             tracer if tracer is not None and getattr(tracer, "enabled", True) else None
         )
@@ -284,8 +284,6 @@ class Simulator:
     ) -> Callable[[], None]:
         def action() -> None:
             token.born = self._now
-            if self.trace and token.trace is None:
-                token.trace = []
             self._deposit(place, token, sinkset, completions, from_reservation=False)
 
         return action
@@ -405,10 +403,6 @@ class Simulator:
                         first = toks[0]
                         break
                 fault_token = first.child() if first is not None else Token()
-                if self.trace:
-                    if fault_token.trace is None:
-                        fault_token.trace = []
-                    fault_token.trace.append((f"{t.name}!timeout", self._now))
                 self._deposit(
                     fault_place, fault_token, sinkset, completions, from_reservation=False
                 )
@@ -429,9 +423,7 @@ class Simulator:
                     cat="petri.guarded" if t.guard is not None else "petri.fire",
                     tid=self.net.name,
                 )
-            produced = (
-                t.produce(consumed) if t.produce is not None else t.default_production(consumed)
-            )
+            produced = t.default_production(consumed)
             for arc in t.outputs:
                 toks = list(produced.get(arc.place, ()))
                 if len(toks) != arc.weight:
@@ -442,10 +434,6 @@ class Simulator:
                 for tok in toks:
                     if tok.born is None:
                         tok.born = fire_time
-                    if self.trace:
-                        if tok.trace is None:
-                            tok.trace = []
-                        tok.trace.append((t.name, self._now))
                     self._deposit(
                         arc.place, tok, sinkset, completions, from_reservation=True
                     )

@@ -29,16 +29,12 @@ class Token:
         born: Simulation time at which the token entered the net.
             ``None`` until the token is injected.
         uid: Unique id, assigned automatically; used for deterministic
-            FIFO ordering and for tracing.
-        trace: Optional list of ``(transition_name, fire_time)`` pairs
-            recording the token's path; filled only when the simulator
-            runs with tracing enabled.
+            FIFO ordering.
     """
 
     payload: Any = None
     born: float | None = None
     uid: int = field(default_factory=lambda: next(_token_ids))
-    trace: list[tuple[str, float]] | None = None
 
     def aged(self, now: float) -> float:
         """Return time elapsed since the token entered the net."""
@@ -46,17 +42,12 @@ class Token:
             raise ValueError("token was never injected into a net")
         return now - self.born
 
-    def child(self, payload: Any = None) -> Token:
-        """Create a derived token inheriting this token's birth time.
-
-        Transitions that split one data unit into several (e.g. an image
-        into blocks) should emit children so that end-to-end latency is
-        still measured from the original injection time.
-        """
-        tok = Token(payload=payload if payload is not None else self.payload)
+    def child(self) -> Token:
+        """Create a derived token with this token's payload and birth
+        time, so end-to-end latency is still measured from the original
+        injection time."""
+        tok = Token(payload=self.payload)
         tok.born = self.born
-        if self.trace is not None:
-            tok.trace = list(self.trace)
         return tok
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -15,13 +15,12 @@ then need tooling to inspect and run what they received.  Subcommands:
   paths (a ``path.contract.json`` sidecar is picked up automatically);
   with no targets, every shipped bundle is verified.
 * ``dot FILE`` — emit Graphviz DOT for rendering.
-* ``simulate FILE --items N [--payload JSON] [--gap G] [--engine E]``
-  (alias: ``run``) — inject a workload and report latency/throughput
-  statistics; ``--engine`` picks the compiled fast path, the reference
-  interpreter, automatic selection, or ``batched`` (the whole-matrix
-  engines — see ``docs/performance.md``).  ``--batch FILE.jsonl``
+* ``simulate FILE --items N [--payload JSON] [--gap G] [--batch FILE]``
+  (alias: ``run``) — inject a workload into the compiled engine and
+  report latency/throughput statistics.  ``--batch FILE.jsonl``
   evaluates one workload item per line (each line a JSON features
-  dict used as that item's token payload) in a single batch pass.
+  dict used as that item's token payload) in a single pass of the
+  batch engines (see ``docs/performance.md``).
 
 Examples::
 
@@ -31,7 +30,7 @@ Examples::
     python -m repro.tools.pnet simulate iface.pnet --items 100 \
         --payload '{"bytes": 32, "nnz": 10, "i": 0, "wr": true}'
     python -m repro.tools.pnet run iface.pnet --items 20 --gap 2 \
-        --batch sweep.jsonl --engine batched
+        --batch sweep.jsonl
 """
 
 from __future__ import annotations
@@ -44,10 +43,8 @@ from pathlib import Path
 
 from repro.hw.stats import Summary
 from repro.petri import (
-    ENGINES,
     BatchEvaluator,
     DslError,
-    SimulationError,
     analyze_structure,
     find_cycles,
     make_simulator,
@@ -176,9 +173,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     worst = 0
     results = []
     for name, bundle in _verify_jobs(args.target):
-        report, verification = verify_bundle(
-            bundle, epsilon=args.epsilon, engine=args.engine or "auto"
-        )
+        report, verification = verify_bundle(bundle, epsilon=args.epsilon)
         worst = max(worst, report.exit_code)
         if args.json:
             results.append(
@@ -249,11 +244,7 @@ def cmd_batched(args: argparse.Namespace, net, payloads: list) -> int:
         [(args.entry, payload, k * args.gap) for k in range(args.items)]
         for payload in payloads
     ]
-    try:
-        evaluator = BatchEvaluator(net, (args.sink,))
-    except SimulationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    evaluator = BatchEvaluator(net, (args.sink,))
     start = time.perf_counter()
     try:
         results = evaluator.evaluate(items)
@@ -286,15 +277,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.sink not in net.places:
         print(f"error: sink place {args.sink!r} not in net", file=sys.stderr)
         return 1
-    if args.batch is not None or args.engine == "batched":
-        if args.batch is not None:
-            payloads = _read_batch_file(args.batch)
-            if payloads is None:
-                return 1
-        else:
-            payloads = [payload]
+    if args.batch is not None:
+        payloads = _read_batch_file(args.batch)
+        if payloads is None:
+            return 1
         return cmd_batched(args, net, payloads)
-    sim = make_simulator(net, sinks=(args.sink,), engine=args.engine)
+    sim = make_simulator(net, sinks=(args.sink,))
     sim.inject_stream(args.entry, [payload] * args.items, gap=args.gap)
     result = sim.run()
     if result.deadlocked:
@@ -373,12 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="relative tolerance for corner-point concretization "
         "(default: the contract's own epsilon, else 0.02)",
     )
-    p_verify.add_argument(
-        "--engine",
-        default=None,
-        choices=list(ENGINES),
-        help="simulation engine for corner concretization",
-    )
     p_verify.set_defaults(fn=cmd_verify)
 
     # "run" is an alias for "simulate" (matches the docs' `pnet run`).
@@ -393,20 +375,11 @@ def build_parser() -> argparse.ArgumentParser:
         p_sim.add_argument("--entry", default="in", help="injection place")
         p_sim.add_argument("--sink", default="out", help="completion place")
         p_sim.add_argument(
-            "--engine",
-            default="auto",
-            choices=[*ENGINES, "batched"],
-            help="simulation engine (default: auto, which compiles when "
-            "the net is supported, else falls back to the reference "
-            "interpreter; batched evaluates the workload through the "
-            "whole-matrix engines, honoring REPRO_PETRI_BATCH_ENGINE)",
-        )
-        p_sim.add_argument(
             "--batch",
             metavar="FILE.jsonl",
             help="evaluate one workload item per line of FILE (each line "
             "a JSON features dict used as that item's token payload) in "
-            "a single batch pass; implies --engine batched",
+            "a single batch pass",
         )
         p_sim.set_defaults(fn=cmd_simulate)
     return parser

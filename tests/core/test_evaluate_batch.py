@@ -40,10 +40,7 @@ def test_petri_interface_batch_matches_per_item_latency():
     assert batched == per_item  # bit-identical, not approx
 
 
-def test_batch_takes_the_batch_engine_exactly_once(monkeypatch):
-    from repro.petri.batched import BATCH_ENGINE_ENV_VAR
-
-    monkeypatch.delenv(BATCH_ENGINE_ENV_VAR, raising=False)
+def test_batch_takes_the_batch_engine_exactly_once():
     iface = jpeg.petri_interface()
     assert iface.batch_evaluator is None  # lazy: nothing built yet
     iface.evaluate_batch(IMAGES)
@@ -63,11 +60,9 @@ def test_tracer_falls_back_to_per_item():
     assert traced == jpeg.petri_interface().evaluate_batch(IMAGES[:3])
 
 
-def test_disabled_tracer_keeps_the_batch_engine(monkeypatch):
+def test_disabled_tracer_keeps_the_batch_engine():
     from repro.obs import Tracer
-    from repro.petri.batched import BATCH_ENGINE_ENV_VAR
 
-    monkeypatch.delenv(BATCH_ENGINE_ENV_VAR, raising=False)
     iface = jpeg.petri_interface()
     iface.tracer = Tracer(enabled=False)
     got = iface.evaluate_batch(IMAGES)
@@ -125,6 +120,21 @@ def test_latency_and_batch_agree_with_the_reference_engine(name, mode):
         assert (iface.cache.stats.misses, iface.cache.stats.hits) == (1, 2)
     if mode == "traced":
         assert iface.batch_evaluator is None and len(iface.tracer.spans()) > 0
+
+
+@pytest.mark.parametrize("name", ["jpeg", "vta", "bitcoin", "protoacc", "optimusprime"])
+def test_columnar_engine_agrees_on_every_shipped_interface(name):
+    """The columnar engine, forced, prices every shipped interface
+    exactly as latency() does, whichever engine latency() picked."""
+    from repro.petri import BatchEvaluator
+
+    factory, item = _shipped_interfaces()[name]
+    iface = factory()
+    injections = [(inj.place, inj.payload, inj.at) for inj in iface.tokenize(item)]
+    evaluator = BatchEvaluator(iface.net, (iface.sink,), engine="columnar")
+    [makespan] = evaluator.evaluate_makespans([injections])
+    assert evaluator.items_columnar == 1
+    assert makespan + iface.epilogue == factory().latency(item)  # bit-identical
 
 
 def test_latency_hits_the_entries_evaluate_batch_stored():

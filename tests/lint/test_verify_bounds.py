@@ -155,12 +155,7 @@ class TestPipeline:
 
     def test_corner_checks_on_compiled_engine(self):
         bounds = net_latency_bounds(parse(PIPELINE_PNET), entry="in")
-        checks = check_corners(
-            lambda: parse(PIPELINE_PNET),
-            bounds,
-            {"n": (0.0, 3.0)},
-            engine="compiled",
-        )
+        checks = check_corners(lambda: parse(PIPELINE_PNET), bounds, {"n": (0.0, 3.0)})
         assert [c.ok for c in checks] == [True, True]
         simulated = sorted(c.simulated for c in checks)
         assert simulated == [5.0, 8.0]

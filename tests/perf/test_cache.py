@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.perf import EvalCache, UncacheableError, net_fingerprint, workload_key
-from repro.petri import PetriNet, parse
+from repro.petri import PetriNet, parse, run_workload
 
 PNET = """\
 net demo
@@ -382,6 +382,38 @@ def test_recursive_callables_fingerprint_without_looping():
     assert net_fingerprint(net_with_delay(make_countdown())) == net_fingerprint(
         net_with_delay(make_countdown())
     )
+
+
+@dataclass
+class PerByte:
+    rate: float
+
+    def cost(self, consumed):
+        return self.rate * consumed["in"][0].payload
+
+
+class Opaque:
+    def cost(self, consumed):
+        return 1.0
+
+
+def test_bound_method_formula_keys_on_its_instance():
+    """A bound-method formula keys on the object it is bound to, so the
+    cache never answers one rate with another rate's latency."""
+    assert net_fingerprint(net_with_delay(PerByte(1.0).cost)) == net_fingerprint(
+        net_with_delay(PerByte(1.0).cost)
+    )
+
+    cache = EvalCache()
+    latencies = []
+    for rate in (1.0, 5.0):
+        net = net_with_delay(PerByte(rate).cost)
+        compute = lambda net=net: run_workload(net, [10]).makespan()  # noqa: E731
+        latencies.append(cache.get_or_compute(net, {"items": 1}, compute))
+    assert latencies == [10.0, 50.0]
+
+    with pytest.raises(UncacheableError):
+        net_fingerprint(net_with_delay(Opaque().cost))
 
 
 CACHED_RUN = """

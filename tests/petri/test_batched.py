@@ -15,10 +15,8 @@ from repro.petri import (
     chain_spec,
     chain_unsupported_reasons,
     codegen_supported,
-    default_batch_engine,
     parse,
 )
-from repro.petri.batched import BATCH_ENGINE_ENV_VAR
 from repro.petri.differential import (
     accel_batch_cases,
     batch_cases,
@@ -115,8 +113,7 @@ def test_fan_out_topology_is_rejected():
 # ----------------------------------------------------------------------
 
 
-def test_auto_engine_picks_codegen_for_chains(monkeypatch):
-    monkeypatch.delenv(BATCH_ENGINE_ENV_VAR, raising=False)
+def test_auto_engine_picks_codegen_for_chains():
     ev = BatchEvaluator(chain_net(), ["out"])
     assert ev.engine == "codegen"
     ev.evaluate(items_for(3))
@@ -163,7 +160,6 @@ def test_building_an_evaluator_lowers_the_net_once(monkeypatch):
         lower(self, net)
 
     monkeypatch.setattr(CompiledNet, "__init__", counting)
-    monkeypatch.delenv(BATCH_ENGINE_ENV_VAR, raising=False)
     ev = BatchEvaluator(chain_net(), ["out"])
     assert ev.engine == "codegen"
     assert lowered == ["chain"]
@@ -186,15 +182,6 @@ def test_evaluate_makespans_matches_per_item_compiled_runs():
             sim.inject(place, payload, at=at)
         want.append(sim.run().makespan())
     assert got == want  # bit-identical, not approx
-
-
-def test_env_var_forces_batch_engine(monkeypatch):
-    monkeypatch.setenv(BATCH_ENGINE_ENV_VAR, "columnar")
-    assert default_batch_engine() == "columnar"
-    assert BatchEvaluator(chain_net(), ["out"]).engine == "columnar"
-    monkeypatch.setenv(BATCH_ENGINE_ENV_VAR, "warp-drive")
-    with pytest.raises(ValueError, match=BATCH_ENGINE_ENV_VAR):
-        default_batch_engine()
 
 
 # ----------------------------------------------------------------------

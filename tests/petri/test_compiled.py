@@ -1,9 +1,8 @@
-"""Engine selection, fallback rules, and compiled-engine edge cases."""
+"""The per-item engine factory and compiled-engine edge cases."""
 
 import pytest
 
 from repro.petri import (
-    ENGINES,
     CompiledNet,
     CompiledSimulator,
     DefinitionError,
@@ -11,8 +10,6 @@ from repro.petri import (
     SimulationError,
     Simulator,
     make_simulator,
-    supports,
-    unsupported_features,
 )
 
 
@@ -24,68 +21,8 @@ def simple_net():
     return net
 
 
-def hooked_net():
-    net = PetriNet("hooked")
-    net.add_place("in")
-    net.add_place("out")
-    net.add_transition(
-        "t", ["in"], ["out"], delay=1, produce=lambda consumed, out: {}
-    )
-    return net
-
-
-# ----------------------------------------------------------------------
-# Feature support and fallback
-# ----------------------------------------------------------------------
-
-
-def test_plain_net_is_supported():
-    assert supports(simple_net())
-    assert unsupported_features(simple_net()) == []
-
-
-def test_trace_is_unsupported():
-    reasons = unsupported_features(simple_net(), trace=True)
-    assert reasons and "trace" in reasons[0]
-
-
-def test_produce_hook_is_unsupported():
-    assert not supports(hooked_net())
-
-
-def test_auto_selects_compiled_when_supported():
-    sim = make_simulator(simple_net(), sinks=("out",), engine="auto")
-    assert isinstance(sim, CompiledSimulator)
-
-
-def test_auto_falls_back_to_reference():
-    sim = make_simulator(hooked_net(), sinks=("out",), engine="auto")
-    assert isinstance(sim, Simulator)
-    assert not isinstance(sim, CompiledSimulator)
-
-
-def test_auto_falls_back_for_trace():
-    sim = make_simulator(simple_net(), sinks=("out",), engine="auto", trace=True)
-    assert not isinstance(sim, CompiledSimulator)
-
-
-def test_explicit_compiled_refuses_unsupported_net():
-    with pytest.raises(SimulationError, match="produce"):
-        make_simulator(hooked_net(), sinks=("out",), engine="compiled")
-
-
-def test_explicit_reference_always_honored():
-    sim = make_simulator(simple_net(), sinks=("out",), engine="reference")
-    assert not isinstance(sim, CompiledSimulator)
-
-
-def test_unknown_engine_rejected():
-    with pytest.raises(ValueError, match="unknown engine"):
-        make_simulator(simple_net(), sinks=("out",), engine="turbo")
-
-
-def test_engines_constant_lists_all_modes():
-    assert set(ENGINES) == {"auto", "reference", "compiled"}
+def test_make_simulator_returns_compiled_simulator():
+    assert isinstance(make_simulator(simple_net(), sinks=("out",)), CompiledSimulator)
 
 
 # ----------------------------------------------------------------------

@@ -70,20 +70,6 @@ def test_mismatch_raises_with_both_digests():
         compare_engines(DiffCase("divergent", build))
 
 
-def test_unsupported_net_is_rejected_not_silently_skipped():
-    def build():
-        net = PetriNet("hooked")
-        net.add_place("in")
-        net.add_place("out")
-        net.add_transition(
-            "t", ["in"], ["out"], delay=1, produce=lambda consumed, out: []
-        )
-        return net, ["out"], lambda sim: sim.inject("in")
-
-    with pytest.raises(EngineMismatch, match="not supported"):
-        compare_engines(DiffCase("hooked", build))
-
-
 def test_summarize_excludes_token_uids():
     """Two runs of the *same* engine differ only in uids; the digest must
     not see them."""

@@ -8,7 +8,6 @@ from repro.petri import (
     PetriNet,
     SimulationError,
     Simulator,
-    Token,
     run_workload,
 )
 
@@ -125,33 +124,6 @@ def test_guard_blocks_until_satisfied():
     assert len(res.completions["big_out"]) == 1
 
 
-def test_custom_produce_function():
-    net = PetriNet("produce")
-    net.add_place("in")
-    net.add_place("out")
-
-    def split(consumed):
-        tok = consumed["in"][0]
-        return {"out": [tok.child(payload=tok.payload * 10)]}
-
-    net.add_transition("p", ["in"], ["out"], delay=1, produce=split)
-    res = run_workload(net, [7])
-    assert res.sink()[0].token.payload == 70
-
-
-def test_produce_wrong_arity_is_an_error():
-    net = PetriNet("bad")
-    net.add_place("in")
-    net.add_place("out")
-    net.add_transition(
-        "p", ["in"], [("out", 2)], delay=1, produce=lambda c: {"out": [Token()]}
-    )
-    sim = Simulator(net, sinks=["out"])
-    sim.inject("in")
-    with pytest.raises(Exception, match="produced 1 tokens"):
-        sim.run()
-
-
 def test_zero_delay_cascade_within_one_instant():
     net = PetriNet("zero")
     net.add_place("in")
@@ -230,20 +202,6 @@ def test_run_resets_state_between_runs():
     second = run_workload(net, [None] * 2)
     assert [c.time for c in first.sink()] == [c.time for c in second.sink()]
     assert net.transitions["t"].fire_count == 2
-
-
-def test_trace_records_token_path():
-    net = PetriNet("tr")
-    net.add_place("in")
-    net.add_place("m")
-    net.add_place("out")
-    net.add_transition("a", ["in"], ["m"], delay=1)
-    net.add_transition("b", ["m"], ["out"], delay=2)
-    sim = Simulator(net, sinks=["out"], trace=True)
-    sim.inject("in")
-    res = sim.run()
-    tok = res.sink()[0].token
-    assert [name for name, _ in tok.trace] == ["a", "b"]
 
 
 def test_throughput_measures_completions_per_time():

@@ -134,30 +134,15 @@ class TestBatched:
         assert "batch engine: codegen" in out
         assert "items/sec" in out
 
-    def test_engine_batched_without_batch_file_uses_payload(self, pnet_file, capsys):
-        rc = main(
-            [
-                "run",
-                pnet_file(EXPR_CHAIN),
-                "--items",
-                "1",
-                "--payload",
-                '{"n": 21}',
-                "--engine",
-                "batched",
-            ]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "items: 1 x 1 tokens" in out
-        assert "mean=42.000" in out
-
-    def test_batched_makespans_match_the_per_item_engine(self, pnet_file, capsys):
+    def test_batched_makespans_match_the_per_item_engine(
+        self, pnet_file, tmp_path, capsys
+    ):
         path = pnet_file(EXPR_CHAIN)
         assert main(["run", path, "--items", "4", "--payload", '{"n": 3}']) == 0
         per_item = capsys.readouterr().out
-        args = ["--items", "4", "--payload", '{"n": 3}', "--engine", "batched"]
-        assert main(["run", path, *args]) == 0
+        batch = tmp_path / "one.jsonl"
+        batch.write_text('{"n": 3}\n')
+        assert main(["run", path, "--items", "4", "--batch", str(batch)]) == 0
         batched = capsys.readouterr().out
         # Per-item mode prints "makespan: 24.0"; batched summarizes the
         # same value as "... mean=24.000 ...". Compare the numbers.
