@@ -97,7 +97,8 @@ def build_vta_net(
     mutex shared by every DMA transition (load, store, and compute-side
     UOP/ACC loads all contend for one memory port, as in the hardware),
     and one transition per (module, dependency-flag combination, DMA or
-    not), guarded on the instruction at the head of the command queue.
+    not), guarded on the instruction at the head of the command queue
+    and keyed on the dispatch key its guard compares.
     """
     config = config or VtaConfig()
     net = PetriNet("vta")
@@ -138,18 +139,19 @@ def build_vta_net(
         cmd_place = f"cmd_{module.value}"
 
         # --- DMA, stage 1: descriptor setup (module held, port free).
-        # Guards compare precomputed dispatch keys in the token payload
-        # (see tokenize_program) rather than re-deriving flags: this is
-        # the hot path of the whole IR.
+        # Guards compare the precomputed dispatch keys in the token
+        # payload (see dispatch_payload), and each transition declares
+        # the key value its guard accepts, so the engine checks only the
+        # one transition a head token selects: this is the hot path of
+        # the whole IR.
         for combo in itertools.product((False, True), repeat=len(pop_flags)):
             setting = dict(zip(pop_flags, combo, strict=True))
             inputs = [cmd_place, f"free_{module.value}"]
             inputs += [_POP_QUEUE[(module, f)] for f, on in setting.items() if on]
-            want = _full_pops(setting)
+            want = (True, _full_pops(setting))
 
             def setup_guard(consumed, cmd_place=cmd_place, want=want):
-                payload = consumed[cmd_place][0].payload
-                return payload["dma"] and payload["pops"] == want
+                return consumed[cmd_place][0].payload["cmd_key"] == want
 
             tag = "".join("1" if on else "0" for on in combo)
             net.add_transition(
@@ -159,6 +161,7 @@ def build_vta_net(
                 delay=setup_delay,
                 guard=setup_guard,
                 servers=1,
+                key=(cmd_place, "cmd_key", want),
             )
 
         # --- DMA, stage 2: the stream itself (module and port held).
@@ -168,11 +171,10 @@ def build_vta_net(
             if model_port:
                 outputs.insert(1, "dram_port")
             outputs += [_PUSH_QUEUE[(module, f)] for f, on in setting.items() if on]
-            want = _full_pushes(setting)
+            want = (module.value, _full_pushes(setting))
 
-            def stream_guard(consumed, module_value=module.value, want=want):
-                payload = consumed["port_req"][0].payload
-                return payload["mod"] == module_value and payload["pushes"] == want
+            def stream_guard(consumed, want=want):
+                return consumed["port_req"][0].payload["port_key"] == want
 
             tag = "".join("1" if on else "0" for on in combo)
             net.add_transition(
@@ -182,6 +184,7 @@ def build_vta_net(
                 delay=stream_delay,
                 guard=stream_guard,
                 servers=1,
+                key=("port_req", "port_key", want),
             )
 
         # --- Non-DMA instructions (compute only: GEMM/ALU/FINISH).
@@ -198,16 +201,10 @@ def build_vta_net(
                         inputs.append(_POP_QUEUE[(module, flag)])
                     else:
                         outputs.append(_PUSH_QUEUE[(module, flag)])
-                want_pops = _full_pops(setting)
-                want_pushes = _full_pushes(setting)
+                want = (False, _full_pops(setting), _full_pushes(setting))
 
-                def guard(consumed, want_pops=want_pops, want_pushes=want_pushes):
-                    payload = consumed["cmd_compute"][0].payload
-                    return (
-                        not payload["dma"]
-                        and payload["pops"] == want_pops
-                        and payload["pushes"] == want_pushes
-                    )
+                def guard(consumed, want=want):
+                    return consumed["cmd_compute"][0].payload["cmd_key"] == want
 
                 tag = "".join("1" if on else "0" for on in combo)
                 net.add_transition(
@@ -217,6 +214,7 @@ def build_vta_net(
                     delay=full_delay,
                     guard=guard,
                     servers=1,
+                    key=(cmd_place, "cmd_key", want),
                 )
     return net
 
@@ -229,17 +227,36 @@ def _full_pushes(setting: dict) -> tuple[bool, bool]:
     return (setting.get("push_prev", False), setting.get("push_next", False))
 
 
+#: ``(cmd_key, port_key)`` per instruction flag combination ``(module,
+#: dma, pop_prev, pop_next, push_prev, push_next)``, built once so that
+#: every payload with the same flags shares the same two key tuples.
+_DISPATCH_KEYS = {
+    (module, dma, *pops, *pushes): (
+        (True, pops) if dma else (False, pops, pushes),
+        (module, pushes),
+    )
+    for module in (m.value for m in Module)
+    for dma in (False, True)
+    for pops in itertools.product((False, True), repeat=2)
+    for pushes in itertools.product((False, True), repeat=2)
+}
+
+
 def dispatch_payload(insn: Instruction, idx: int, copy: int = 0) -> dict:
-    """Precomputed dispatch keys read by the net's guards."""
-    return {
-        "insn": insn,
-        "idx": idx,
-        "copy": copy,
-        "mod": insn.module.value,
-        "dma": insn.op in (Opcode.LOAD, Opcode.STORE),
-        "pops": (insn.pop_prev, insn.pop_next),
-        "pushes": (insn.push_prev, insn.push_next),
-    }
+    """The instruction plus the two dispatch keys the net's guards and
+    transition keys read: ``cmd_key`` selects the command-queue
+    transition, ``(True, pops)`` for a DMA instruction and
+    ``(False, pops, pushes)`` otherwise; ``port_key`` selects the DMA
+    stream transition, ``(module, pushes)``."""
+    cmd_key, port_key = _DISPATCH_KEYS[
+        insn.module.value,
+        insn.op in (Opcode.LOAD, Opcode.STORE),
+        insn.pop_prev,
+        insn.pop_next,
+        insn.push_prev,
+        insn.push_next,
+    ]
+    return {"insn": insn, "idx": idx, "copy": copy, "cmd_key": cmd_key, "port_key": port_key}
 
 
 def _head_insn(consumed) -> Instruction:

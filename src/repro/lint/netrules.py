@@ -26,6 +26,8 @@ from repro.petri.analysis import (
     p_invariants,
     t_invariants,
 )
+from repro.petri.compiled import key_groups
+from repro.petri.errors import KeyRuleError
 from repro.petri.net import PetriNet, Transition
 
 from .diagnostics import Diagnostic, Severity, SourceLocation
@@ -371,6 +373,25 @@ def check_implicit_injection(ctx: NetLintContext) -> Iterator[Diagnostic]:
             hint=f"declare 'inject {place} [fields ...]' to make the workload "
             f"contract explicit and enable token-field dataflow checks",
         )
+
+
+@rule("PL018", "net", "Dispatch keys break a grouping rule")
+def check_dispatch_keys(ctx: NetLintContext) -> Iterator[Diagnostic]:
+    # The engine's own validator: a net it would refuse to lower fails
+    # here first, at the offending transition's line.
+    try:
+        key_groups(ctx.net)
+    except KeyRuleError as exc:
+        for name, message in exc.violations:
+            yield ctx.diag(
+                "PL018",
+                Severity.ERROR,
+                message,
+                kind="key" if ("key", name) in ctx.net.source_map else "transition",
+                name=name,
+                hint="every consumer of a key's place must key on it, on one "
+                "field, with a value no other consumer uses",
+            )
 
 
 def _has_cycle(net: PetriNet) -> bool:

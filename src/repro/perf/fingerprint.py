@@ -21,8 +21,8 @@ content:
   built in another order gets another key, which costs a miss, never a
   wrong hit.
 * **Nets** — every place (name, capacity) and transition (arcs, delay,
-  guard, servers, priority, timeout) is rendered as text in sorted
-  order.  A delay or guard compiled from ``.pnet`` text is identified by
+  guard, servers, priority, timeout, dispatch key) is rendered as text in
+  sorted order.  A delay or guard compiled from ``.pnet`` text is identified by
   its DSL source (the expression's ``.src``); a Python callable by its
   bytecode, constants, closure values and defaults, a bound method also
   by the object it is bound to, and transitively by the globals it
@@ -288,7 +288,7 @@ def _transition_lines(t: Transition) -> list[str]:
     timeout = (
         "none" if t.timeout is None else f"{float(t.timeout[0]).hex()}->{t.timeout[1]}"
     )
-    return [
+    lines = [
         f"transition {t.name}",
         "  in " + " ".join(f"{a.place}:{a.weight}" for a in t.inputs),
         "  out " + " ".join(f"{a.place}:{a.weight}" for a in t.outputs),
@@ -298,6 +298,12 @@ def _transition_lines(t: Transition) -> list[str]:
         f"  priority {t.priority}",
         f"  timeout {timeout}",
     ]
+    if t.key is not None:
+        # Only keyed transitions get the line, so unkeyed nets keep
+        # their fingerprints (and their persisted entries).
+        place, field, value = t.key
+        lines.append(f"  key {place} {field} {canonical_bytes(value).hex()}")
+    return lines
 
 
 def net_fingerprint(net: PetriNet) -> str:

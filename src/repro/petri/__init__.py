@@ -61,6 +61,7 @@ from .errors import (
     DeadlockError,
     DefinitionError,
     DslError,
+    KeyRuleError,
     PetriError,
     SimulationError,
 )
@@ -83,6 +84,7 @@ __all__ = [
     "DeadlockError",
     "DefinitionError",
     "DslError",
+    "KeyRuleError",
     "PetriError",
     "PetriNet",
     "Place",

@@ -45,8 +45,15 @@ from collections.abc import Iterable, Sequence
 from heapq import heappop, heappush
 from typing import Any, Literal, NamedTuple
 
-from .errors import CapacityError, DeadlineError, DeadlockError, DefinitionError, SimulationError
-from .net import PetriNet
+from .errors import (
+    CapacityError,
+    DeadlineError,
+    DeadlockError,
+    DefinitionError,
+    KeyRuleError,
+    SimulationError,
+)
+from .net import PetriNet, Transition
 from .simulate import Completion, SimResult, Simulator
 from .token import Token, _token_ids
 
@@ -56,6 +63,55 @@ from .token import Token, _token_ids
 # engine-generated events at the same instant, so the run loop merges
 # them from a sorted side list.)
 _COMPLETE, _FAIL = 1, 2
+
+
+def key_groups(net: PetriNet) -> dict[str, list[Transition]]:
+    """The keyed transitions of ``net`` grouped by head place, each
+    group in firing order.
+
+    This is the one check of the rules head-keyed dispatch rests on; it
+    raises :class:`KeyRuleError` naming the transitions when two members
+    of a group key on the same value, when members of one head place
+    key on different fields, or when a head place has a consumer that
+    does not key on it.
+    """
+    ordered = net.ordered_transitions()
+    groups: dict[str, list[Transition]] = {}
+    for t in ordered:
+        if t.key is not None:
+            groups.setdefault(t.key[0], []).append(t)
+    violations: list[tuple[str, str]] = []
+    for place, members in groups.items():
+        first = members[0]
+        seen: dict[Any, str] = {}
+        for t in members:
+            _, field, value = t.key
+            if field != first.key[1]:
+                violations.append((
+                    t.name,
+                    f"transition {t.name!r} keys head place {place!r} on field "
+                    f"{field!r}, but {first.name!r} keys it on {first.key[1]!r}",
+                ))
+            elif value in seen:
+                violations.append((
+                    t.name,
+                    f"transitions {seen[value]!r} and {t.name!r} both key head "
+                    f"place {place!r} on {field}={value!r}",
+                ))
+            else:
+                seen[value] = t.name
+        for t in ordered:
+            if (t.key is None or t.key[0] != place) and any(
+                a.place == place for a in t.inputs
+            ):
+                violations.append((
+                    t.name,
+                    f"transition {t.name!r} consumes head place {place!r} but does "
+                    f"not key on it, while {first.name!r} does",
+                ))
+    if violations:
+        raise KeyRuleError(violations)
+    return groups
 
 
 class CompiledNet:
@@ -91,6 +147,7 @@ class CompiledNet:
         "t_fast",
         "t_out1",
         "t_outw",
+        "t_group",
         "_loops",
     )
 
@@ -163,19 +220,37 @@ class CompiledNet:
                     if cc != ti and self.t_guard[cc] is not None:
                         wake |= 1 << cc
             self.t_wake_fire.append(wake)
+        # Head-keyed dispatch: per keyed transition, its group's
+        # ``(head_place, field, table, not_group)``, where ``table`` maps
+        # a key value to ``(member, member_bit, keep)`` — ``keep`` clears
+        # the group bits below that member — and ``not_group`` clears
+        # the whole group.  ``None`` for unkeyed transitions.
+        self.t_group: list[tuple | None] = [None] * len(ordered)
+        for place, members in key_groups(net).items():
+            index = [self.t_index[t.name] for t in members]
+            group_mask = sum(1 << ti for ti in index)
+            table = {
+                t.key[2]: (ti, 1 << ti, ~(group_mask & ((1 << ti) - 1)))
+                for t, ti in zip(members, index, strict=True)
+            }
+            group = (pidx[place], members[0].key[1], table, ~group_mask)
+            for ti in index:
+                self.t_group[ti] = group
         # The dominant accelerator idiom — one input arc, one output
         # arc, no timeout — gets a fully inlined firing loop driven by
         # one precomputed spec tuple: (in_place, in_weight, out_place,
         # out_weight, in_name, guard, delay_fn, delay_const, wake,
         # plain).  ``plain`` flags the tightest tier: weight-1 arcs,
         # constant delay, no guard — a loop with zero per-firing branch
-        # tests.
+        # tests.  Keyed transitions stay on the generic path, which
+        # alone carries the group check.
         self.t_fast: list[tuple | None] = []
         for ti, t in enumerate(ordered):
             fast = (
                 len(t.inputs) == 1
                 and len(t.outputs) == 1
                 and t.timeout is None
+                and t.key is None
                 and (self.t_delay_const[ti] is None or self.t_delay_const[ti] >= 0)
             )
             self.t_fast.append(
@@ -502,6 +577,7 @@ class EventLoop:
         t_names = c.t_names
         t_wake_fire, t_fast = c.t_wake_fire, c.t_fast
         t_out1, t_outw = c.t_out1, c.t_outw
+        t_group = c.t_group
         wake_done = self.wake_done
         guard_slots, guard_dicts = self.guard_slots, self.guard_dicts
         trace_cat = self.trace_cat
@@ -654,6 +730,34 @@ class EventLoop:
                             heappush(events, (now + delay, seq, _COMPLETE, ti, first, now))
                             seq += 1
                         continue
+                    group = t_group[ti]
+                    if group is not None:
+                        # Head-keyed dispatch: only the member the head
+                        # token selects can fire (guard => key), and
+                        # only a member firing changes the head, so the
+                        # others would all be found disabled at their
+                        # own positions.  Skip this one and drop from
+                        # the batch every member before the selected
+                        # one — or the whole group when the selected
+                        # one is not still ahead in this batch.
+                        head, field, table, not_group = group
+                        dq = tokens[head]
+                        hit = None
+                        if dq:
+                            try:
+                                hit = table.get(dq[0].payload[field])
+                            except (KeyError, IndexError, TypeError):
+                                raise SimulationError(
+                                    f"transition {t_names[ti]!r}: head token of "
+                                    f"{place_names[head]!r} has no hashable key "
+                                    f"field {field!r} (payload {dq[0].payload!r})"
+                                ) from None
+                        if hit is None:
+                            batch &= not_group
+                            continue
+                        if hit[0] != ti:
+                            batch &= hit[2] if batch & hit[1] else not_group
+                            continue
                     servers = t_servers[ti]
                     guard = t_guard[ti]
                     delay_fn = t_delay_fn[ti]

@@ -27,10 +27,18 @@ Case families:
 * :func:`random_cases` — seeded, randomly generated structural nets that
   exercise the engine features accelerator nets may not (weighted arcs,
   fan-out/merge, guard splits, timeouts, finite capacities, deadlocks).
+* :func:`keyed_cases` — seeded nets with head-keyed transition groups
+  (see :class:`~repro.petri.net.Transition`'s ``key``), built to reach
+  every branch of the compiled engine's group check.
 * :func:`batch_cases` — batched-vs-compiled matrices over every
   accelerator net, seeded random chains (codegen coverage), the random
   structural nets above (columnar coverage), and hand-picked edge items
   (zero/negative callable delays, empty items, mid-chain injections).
+
+Every keyed case additionally runs through :func:`check_key_contract`,
+which watches the reference engine for a guard accepting a head token
+its key does not select — the one way a key could make the compiled
+engine diverge — and reports the witness.
 
 Run as a script for the CI parity smoke job::
 
@@ -39,6 +47,7 @@ Run as a script for the CI parity smoke job::
 
 from __future__ import annotations
 
+import contextlib
 import random
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -47,7 +56,7 @@ from typing import Any
 from .batched import BatchEvaluator, BatchItemResult, codegen_supported
 from .compiled import CompiledSimulator
 from .errors import PetriError
-from .net import PetriNet
+from .net import PetriNet, Transition
 from .simulate import SimResult, Simulator
 
 #: A loader primes a simulator with injections (same API on both engines).
@@ -69,6 +78,10 @@ class DiffCase:
 
 class EngineMismatch(AssertionError):
     """The two engines disagreed on an observable."""
+
+
+class KeyContractError(AssertionError):
+    """A guard accepted a head token its transition's key does not select."""
 
 
 def summarize(result: SimResult, net: PetriNet) -> tuple:
@@ -302,6 +315,168 @@ def random_cases(seed: int = 0, count: int = 25) -> list[DiffCase]:
             )
         )
     return cases
+
+
+# ----------------------------------------------------------------------
+# Keyed structural nets
+# ----------------------------------------------------------------------
+
+
+def _key_guard(
+    place: str, field_name: str, want: Any, reject_n: int | None
+) -> Callable[[dict], bool]:
+    """Guard => key: accepts only head tokens whose ``field_name`` is
+    ``want``, and with ``reject_n`` set, not even all of those."""
+
+    def guard(consumed: dict) -> bool:
+        payload = consumed[place][0].payload
+        return payload[field_name] == want and payload["n"] != reject_n
+
+    return guard
+
+
+def _n_delay(place: str, base: float, mod: int) -> Callable[[dict], float]:
+    return lambda consumed: base + consumed[place][0].payload["n"] % mod
+
+
+def keyed_net(seed: int) -> tuple[PetriNet, list[str], Loader]:
+    """Generate one seeded net with two head-keyed groups.
+
+    Group ``qa`` (field ``k``) has members ``a0, a2, ...``; group ``qb``
+    (field ``op``) has members ``a1b, a3b, ...``; unkeyed transitions
+    ``a1, a3, ...`` drain a side queue into the same ``out`` place.  By
+    name, the three kinds interleave in firing order.  Members of both
+    groups conflict on the ``mx`` mutex place, one ``qa`` member takes a
+    weight-2 head arc, and bursty arrivals make a firing change the
+    head in mid-batch.  Some seeds give a guard that rejects tokens its
+    key selects, or a head token no key selects: both stall the group,
+    identically in both engines.
+    """
+    rng = random.Random(2_000_003 * seed + 11)
+    net = PetriNet(f"keyed{seed}")
+    for place in ("qa", "qb", "side", "mx", "out"):
+        net.add_place(place)
+    n_a, n_b = rng.randint(2, 4), rng.randint(2, 3)
+    ops = ["x", "y", "z"][:n_b]
+    heavy = rng.randrange(n_a)  # the member with the weight-2 head arc
+    strict = rng.randrange(n_a) if rng.random() < 0.25 else None
+
+    def delay(place: str) -> float | Callable[[dict], float]:
+        if rng.random() < 0.5:
+            return _n_delay(place, rng.choice([0.5, 1.0, 2.0]), rng.randint(2, 5))
+        return rng.choice([0.5, 1.0, 1.5, 3.0])
+
+    for i in range(n_a):
+        inputs: list[Any] = [("qa", 2 if i == heavy else 1)]
+        outputs: list[Any] = ["out"]
+        if rng.random() < 0.5:
+            inputs.append("mx")
+            outputs.append("mx")
+        net.add_transition(
+            f"a{2 * i}", inputs, outputs,
+            delay=delay("qa"),
+            guard=_key_guard("qa", "k", i, rng.randrange(30) if i == strict else None),
+            servers=rng.choice([1, 1, 2, None]),
+            key=("qa", "k", i),
+        )
+        if i < n_a - 1:
+            net.add_transition(
+                f"a{2 * i + 1}", ["side"], ["out"],
+                delay=delay("side"),
+                servers=rng.choice([1, None]),
+            )
+    for j, op in enumerate(ops):
+        net.add_transition(
+            f"a{2 * j + 1}b", ["qb", "mx"], ["out", "mx"],
+            delay=delay("qb"),
+            guard=_key_guard("qb", "op", op, None),
+            servers=rng.choice([1, 2]),
+            key=("qb", "op", op),
+        )
+
+    injections: list[tuple[str, Any, float]] = [("mx", None, 0.0)]
+    t = 0.0
+    n = 0
+    for _ in range(rng.randint(15, 40)):
+        t += rng.choice([0.0, 0.0, 0.0, 0.5, 2.0])  # bursts: many heads at once
+        place = rng.choice(["qa", "qa", "qb", "side"])
+        if place == "qa":
+            k = rng.randrange(n_a)
+            injections.append(("qa", {"k": k, "n": n}, t))
+            if k == heavy:  # the token the weight-2 arc takes along
+                n += 1
+                injections.append(("qa", {"k": rng.randrange(n_a), "n": n}, t))
+        elif place == "qb":
+            injections.append(("qb", {"op": rng.choice(ops), "n": n}, t))
+        else:
+            injections.append(("side", {"n": n}, t))
+        n += 1
+    if rng.random() < 0.2:
+        injections.append(("qa", {"k": n_a, "n": -1}, t + 1.0))  # no member
+
+    def load(sim: Any) -> None:
+        for place, payload, at in injections:
+            sim.inject(place, payload, at=at)
+
+    return net, ["out"], load
+
+
+def keyed_cases(seed: int = 0, count: int = 12) -> list[DiffCase]:
+    """*count* seeded keyed nets, reproducible across runs."""
+    return [
+        DiffCase(f"keyed[{s}]", lambda s=s: keyed_net(s))
+        for s in range(seed * 10_000, seed * 10_000 + count)
+    ]
+
+
+def check_key_contract(case: DiffCase) -> int | None:
+    """Run *case* on the reference engine with every keyed guard wrapped.
+
+    The compiled engine checks only the member a head token's key
+    selects, so it is exact only if every guard implies its key.  The
+    wrapper raises :class:`KeyContractError` with a witness — the
+    transition, the head place and the payload — the first time a guard
+    accepts a head token its key does not select.  Returns how many
+    accepted head tokens were checked, or ``None`` when the net has no
+    keyed transition.
+    """
+    net, sinks, load = case.build()
+    keyed = [t for t in net.transitions.values() if t.key is not None]
+    if not keyed:
+        return None
+    checked = 0
+
+    def watched(t: Transition) -> Callable[[dict], bool]:
+        place, field_name, value = t.key
+        guard = t.guard
+
+        def checked_guard(consumed: dict) -> bool:
+            nonlocal checked
+            if not guard(consumed):
+                return False
+            payload = consumed[place][0].payload
+            try:
+                selected = payload[field_name] == value
+            except (KeyError, IndexError, TypeError):
+                selected = False
+            if not selected:
+                raise KeyContractError(
+                    f"{case.name}: transition {t.name!r} accepted the head token "
+                    f"of {place!r}, but its key {field_name}={value!r} does not "
+                    f"select it: payload {payload!r}"
+                )
+            checked += 1
+            return True
+
+        return checked_guard
+
+    for t in keyed:
+        t.guard = watched(t)
+    sim = Simulator(net, sinks=list(sinks))
+    load(sim)
+    with contextlib.suppress(PetriError):  # error parity is compare_engines' job
+        sim.run(**case.run_kwargs)
+    return checked
 
 
 def edge_cases() -> list[DiffCase]:
@@ -715,14 +890,22 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     accel = accel_cases()
-    cases = accel + edge_cases() + random_cases(seed=0, count=25)
+    keyed = keyed_cases(seed=0, count=12)
+    cases = accel + edge_cases() + random_cases(seed=0, count=25) + keyed
     digests = run_differential(cases, tracing=args.tracing)
     ok_errors = sum(1 for d in digests.values() if d[0] == "error")
     suffix = "; tracing parity included" if args.tracing else ""
     print(
         f"engine parity OK: {len(digests)} cases "
-        f"({len(accel)} accelerator, {len(cases) - len(accel)} structural; "
+        f"({len(accel)} accelerator, {len(cases) - len(accel)} structural of "
+        f"which {len(keyed)} keyed; "
         f"{ok_errors} raised identical errors in both engines{suffix})"
+    )
+
+    checked = [n for n in map(check_key_contract, accel + keyed) if n is not None]
+    print(
+        f"key contract OK: {len(checked)} keyed cases, {sum(checked)} accepted "
+        f"head tokens each selected by its transition's key"
     )
 
     bcases = batch_cases()

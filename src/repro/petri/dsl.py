@@ -35,10 +35,19 @@ Delay/guard forms:
   header file is.
 * ``delay fn: name`` — looks up ``name`` in the ``env`` mapping passed
   to :func:`parse`; the function receives the consumption mapping.
+
+A guarded transition may also declare a dispatch key (see
+:class:`~repro.petri.net.Transition`)::
+
+    key PLACE FIELD VALUE
+
+``VALUE`` is a Python literal read with :func:`ast.literal_eval`, e.g.
+``key cmd kind (True, 2)``.
 """
 
 from __future__ import annotations
 
+import ast
 import math
 from collections.abc import Callable, Mapping, Sequence
 from typing import Any
@@ -132,6 +141,7 @@ def parse(text: str, env: Mapping[str, Callable] | None = None) -> PetriNet:
                 servers=pending.get("servers", 1),
                 priority=pending.get("priority", 0),
                 timeout=pending.get("timeout"),
+                key=pending.get("key"),
             )
         except DefinitionError as exc:
             t_line = pending.get("transition_span", (line_no, 1))[0]
@@ -139,7 +149,7 @@ def parse(text: str, env: Mapping[str, Callable] | None = None) -> PetriNet:
         t.delay_src = pending.get("delay_src")  # type: ignore[attr-defined]
         t.guard_src = pending.get("guard_src")  # type: ignore[attr-defined]
         name = pending["name"]
-        for kind in ("transition", "delay", "guard", "timeout"):
+        for kind in ("transition", "delay", "guard", "timeout", "key"):
             span = pending.get(f"{kind}_span")
             if span is not None:
                 net.source_map[(kind, name)] = span
@@ -276,6 +286,16 @@ def _parse_clause(
             raise DslError(f"bad timeout {fields[1]!r}", line_no) from exc
         pending["timeout"] = (after, fields[2])
         pending["timeout_span"] = span_of(fields[2])
+    elif keyword == "key":
+        parts = line[len("key"):].split(None, 2)
+        if len(parts) != 3:
+            raise DslError("usage: key PLACE FIELD VALUE", line_no)
+        try:
+            value = ast.literal_eval(parts[2])
+        except (ValueError, SyntaxError) as exc:
+            raise DslError(f"bad key value {parts[2]!r}: not a literal", line_no) from exc
+        pending["key"] = (parts[0], parts[1], value)
+        pending["key_span"] = span_of("key")
     elif keyword == "servers":
         if len(fields) != 2:
             raise DslError("usage: servers N|inf", line_no)
@@ -326,6 +346,9 @@ def to_pnet(net: PetriNet) -> str:
             lines.append(f"  guard {guard_src}")
         elif t.guard is not None:
             lines.append(f"  guard fn: {getattr(t.guard, '__name__', 'guard')}")
+        if t.key is not None:
+            place, field, value = t.key
+            lines.append(f"  key {place} {field} {value!r}")
         if t.timeout is not None:
             after, fault_place = t.timeout
             lines.append(f"  timeout {after} {fault_place}")

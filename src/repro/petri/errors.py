@@ -9,6 +9,18 @@ class DefinitionError(PetriError):
     """The net is structurally ill-formed (duplicate names, bad arcs, ...)."""
 
 
+class KeyRuleError(DefinitionError):
+    """Dispatch keys break a rule head-keyed dispatch rests on.
+
+    :attr:`violations` lists ``(transition, message)`` pairs, one per
+    finding, so tools can point at each offending transition.
+    """
+
+    def __init__(self, violations: list[tuple[str, str]]):
+        super().__init__("; ".join(message for _, message in violations))
+        self.violations = violations
+
+
 class SimulationError(PetriError):
     """The simulation reached an invalid state (e.g. negative delay)."""
 

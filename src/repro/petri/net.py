@@ -40,6 +40,9 @@ DelaySpec = float | int | Callable[[Mapping[str, Sequence[Token]]], float]
 #: Type of a guard: predicate over the tokens that would be consumed.
 GuardFn = Callable[[Mapping[str, Sequence[Token]]], bool]
 
+#: Type of a dispatch key: ``(place, field, value)`` — see :class:`Transition`.
+KeySpec = tuple[str, str, Any]
+
 
 @dataclass
 class Place:
@@ -139,6 +142,17 @@ class Transition:
             token) is deposited into ``place`` instead.  This lets a net
             *be* the degradation policy: timeout places model error
             queues the surrounding system drains.
+        key: Optional dispatch key ``(place, field, value)``: the
+            transition can fire only when the head token of its input
+            place ``place`` has ``payload[field] == value``.  It is a
+            promise about the guard (which it requires), not a second
+            guard: the guard must accept only head tokens the key
+            selects.  The compiled engine groups the consumers of
+            ``place`` by key and checks only the one member the head
+            token selects; the reference engine ignores keys.  Every
+            consumer of a key's place must key on it, on one field,
+            with distinct values (see
+            :func:`repro.petri.compiled.key_groups`).
     """
 
     def __init__(
@@ -151,6 +165,7 @@ class Transition:
         servers: int | None = 1,
         priority: int = 0,
         timeout: tuple[float, str] | None = None,
+        key: KeySpec | None = None,
     ):
         if not inputs:
             raise DefinitionError(
@@ -161,6 +176,27 @@ class Transition:
             raise DefinitionError(f"transition {name!r}: servers must be >= 1 or None")
         if timeout is not None and timeout[0] <= 0:
             raise DefinitionError(f"transition {name!r}: timeout must be > 0")
+        if key is not None:
+            if not isinstance(key, tuple) or len(key) != 3:
+                raise DefinitionError(
+                    f"transition {name!r}: key must be a (place, field, value) tuple"
+                )
+            place, _, value = key
+            if place not in (a.place for a in inputs):
+                raise DefinitionError(
+                    f"transition {name!r}: key place {place!r} is not one of its inputs"
+                )
+            if guard is None:
+                raise DefinitionError(
+                    f"transition {name!r}: a key needs a guard (the guard decides; "
+                    "the key only narrows which guard to ask)"
+                )
+            try:
+                hash(value)
+            except TypeError as exc:
+                raise DefinitionError(
+                    f"transition {name!r}: key value {value!r} is not hashable"
+                ) from exc
         self.name = name
         self.inputs = list(inputs)
         self.outputs = list(outputs)
@@ -169,6 +205,7 @@ class Transition:
         self.servers = servers
         self.priority = priority
         self.timeout = timeout
+        self.key = key
         #: Deterministic ordering key used by the simulator.
         self.sort_key = (priority, name)
         #: Simulation state: number of currently in-flight firings.
@@ -227,7 +264,7 @@ class PetriNet:
         self.injections: dict[str, frozenset[str] | None] = {}
         #: Source spans for nets parsed from ``.pnet`` text:
         #: ``(kind, name) -> (line, col)`` with kind in {"place",
-        #: "transition", "delay", "guard", "inject", "timeout"}.
+        #: "transition", "delay", "guard", "inject", "timeout", "key"}.
         #: Empty for programmatically built nets.
         self.source_map: dict[tuple[str, str], tuple[int, int]] = {}
 
@@ -254,7 +291,8 @@ class PetriNet:
         """Create and register a transition.
 
         Arcs may be given as :class:`Arc` objects, bare place names
-        (weight 1), or ``(place, weight)`` tuples.
+        (weight 1), or ``(place, weight)`` tuples; keyword arguments
+        (``delay``, ``guard``, ``key``, ...) are :class:`Transition`'s.
         """
         if name in self.transitions:
             raise DefinitionError(f"duplicate transition {name!r}")

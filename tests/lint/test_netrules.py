@@ -366,6 +366,48 @@ transition t
         assert not by_rule(lint_pnet_text(text), "PL017")
 
 
+class TestDispatchKeys:
+    KEYED = """\
+net n
+place cmd
+place side
+place out
+inject cmd fields kind
+inject side
+transition a
+  consume cmd
+  produce out
+  guard expr: tok["kind"] == 0
+  key cmd kind 0
+transition b
+  consume cmd
+  produce out
+  guard expr: tok["kind"] == 1
+  key cmd kind 1
+transition c
+  consume side
+  produce out
+"""
+
+    def test_clean_keys_pass(self):
+        assert not by_rule(lint_pnet_text(self.KEYED), "PL018")
+
+    @pytest.mark.parametrize(
+        "old,new,subject,line,needle",
+        [
+            ("  key cmd kind 1", "  key cmd kind 0", "b", 16, "both key head place 'cmd'"),
+            ("  key cmd kind 1", "  key cmd other 1", "b", 16, "on field 'other'"),
+            ("  consume side", "  consume side cmd", "c", 17, "does not key on it"),
+        ],
+    )
+    def test_violation_points_at_the_transition(self, old, new, subject, line, needle):
+        report = lint_pnet_text(self.KEYED.replace(old, new), filename="k.pnet")
+        (diag,) = by_rule(report, "PL018")
+        assert diag.severity is Severity.ERROR and report.exit_code == 1
+        assert diag.subject == subject and needle in diag.message
+        assert (diag.location.file, diag.location.line) == ("k.pnet", line)
+
+
 class TestInvariantRules:
     def test_pl010_externally_fed_cycle(self):
         text = """\

@@ -76,6 +76,22 @@ def test_mutated_net_changes_fingerprint(mutate):
     assert net_fingerprint(net) != before
 
 
+def test_key_changes_net_fingerprint():
+    def keyed(value):
+        net = PetriNet("keyed")
+        net.add_place("in")
+        net.add_place("out")
+        net.add_transition(
+            "t", ["in"], ["out"], guard=lambda c: True, key=("in", "kind", value)
+        )
+        return net
+
+    assert net_fingerprint(keyed(1)) == net_fingerprint(keyed(1))
+    assert net_fingerprint(keyed(1)) != net_fingerprint(keyed(2))
+    # Type-distinct like workload keys: 1 and True select alike but differ.
+    assert net_fingerprint(keyed(1)) != net_fingerprint(keyed(True))
+
+
 def test_changed_lambda_formula_changes_fingerprint():
     a = programmatic_net(delay=3.0)
     b = programmatic_net(delay=3.0)

@@ -6,6 +6,7 @@ from repro.petri import (
     CompiledNet,
     CompiledSimulator,
     DefinitionError,
+    KeyRuleError,
     PetriNet,
     SimulationError,
     Simulator,
@@ -97,3 +98,90 @@ def test_compiled_instant_budget_matches_reference(monkeypatch):
             sim.run()
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
+
+
+# ----------------------------------------------------------------------
+# Head-keyed dispatch
+# ----------------------------------------------------------------------
+
+
+def kind_guard(want):
+    return lambda consumed: consumed["cmd"][0].payload["kind"] == want
+
+
+def keyed_net(**extra):
+    """``a``/``b`` key ``cmd`` on ``kind``; ``extra`` adds or overrides
+    transitions as ``name -> add_transition kwargs``."""
+    net = PetriNet("keyed")
+    for place in ("cmd", "side", "out"):
+        net.add_place(place)
+    specs = {
+        "a": dict(inputs=["cmd"], guard=kind_guard(0), key=("cmd", "kind", 0)),
+        "b": dict(inputs=["cmd"], guard=kind_guard(1), key=("cmd", "kind", 1)),
+        "c": dict(inputs=["side"]),
+    }
+    specs.update(extra)
+    for name, spec in specs.items():
+        spec = dict(spec)
+        net.add_transition(name, spec.pop("inputs"), ["out"], delay=1, **spec)
+    return net
+
+
+@pytest.mark.parametrize(
+    "key,guard,msg",
+    [
+        (("side", "kind", 0), kind_guard(0), "key place 'side' is not one of its inputs"),
+        (("cmd", "kind"), kind_guard(0), r"\(place, field, value\) tuple"),
+        (("cmd", "kind", 0), None, "needs a guard"),
+        (("cmd", "kind", [0]), kind_guard(0), "not hashable"),
+    ],
+)
+def test_malformed_keys_rejected(key, guard, msg):
+    with pytest.raises(DefinitionError, match=msg):
+        keyed_net(a=dict(inputs=["cmd"], guard=guard, key=key))
+
+
+@pytest.mark.parametrize(
+    "extra,names",
+    [
+        ({"b": dict(inputs=["cmd"], guard=kind_guard(1), key=("cmd", "kind", 0))}, ["'a' and 'b'"]),
+        ({"b": dict(inputs=["cmd"], guard=kind_guard(1), key=("cmd", "op", 1))}, ["'b'", "'a'"]),
+        ({"c": dict(inputs=["side", "cmd"])}, ["'c'", "'a'"]),
+    ],
+    ids=["same-value", "different-fields", "unkeyed-consumer"],
+)
+def test_lowering_rejects_broken_groups_naming_the_transitions(extra, names):
+    with pytest.raises(KeyRuleError) as exc:
+        CompiledNet(keyed_net(**extra))
+    (violation,) = exc.value.violations
+    assert all(name in violation[1] for name in names)
+    assert isinstance(exc.value, DefinitionError)
+
+
+def test_keyed_group_fires_only_the_selected_member():
+    calls = []
+
+    def counted(name, want):
+        def guard(consumed):
+            calls.append(name)
+            return consumed["cmd"][0].payload["kind"] == want
+
+        return guard
+
+    net = keyed_net(
+        a=dict(inputs=["cmd"], guard=counted("a", 0), key=("cmd", "kind", 0)),
+        b=dict(inputs=["cmd"], guard=counted("b", 1), key=("cmd", "kind", 1)),
+    )
+    sim = make_simulator(net, sinks=["out"])
+    for kind in (1, 0, 1, 1):
+        sim.inject("cmd", payload={"kind": kind})
+    result = sim.run()
+    assert result.fired == {"a": 1, "b": 3, "c": 0}
+    assert calls == ["b", "a", "b", "b"]  # one guard per firing
+
+
+def test_head_without_the_key_field_raises():
+    sim = make_simulator(keyed_net(), sinks=["out"])
+    sim.inject("cmd", payload={"size": 3})
+    with pytest.raises(SimulationError, match="head token of 'cmd' has no hashable key field 'kind'"):
+        sim.run()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.petri import DslError, parse, run_workload, to_pnet
+from repro.petri import DslError, Simulator, make_simulator, parse, run_workload, to_pnet
 
 DOC = """
 # A two-stage decoder.
@@ -124,6 +124,66 @@ def test_round_trip_preserves_behavior():
     assert r1.latencies() == r2.latencies()
 
 
+KEYED_DOC = """
+net keyed
+place cmd
+place unit
+place out
+inject cmd fields kind size
+inject unit
+
+transition big
+  consume cmd:2 unit
+  produce unit out
+  delay expr: tok["size"] * 2
+  guard expr: tok["kind"] == (True, "b")
+  key cmd kind (True, 'b')
+
+transition bypass
+  consume unit
+  produce unit
+  delay 5
+  guard expr: False
+  priority 1
+
+transition small
+  consume cmd unit
+  produce unit out
+  delay expr: tok["size"] + 1
+  guard expr: tok["kind"] == (False, "s")
+  key cmd kind (False, 's')
+"""
+
+
+def _keyed_run(net, simulator):
+    sim = simulator(net, sinks=["out"])
+    sim.inject("unit", payload=None)
+    # ``big`` takes its head token and the one behind it.
+    for k, size in enumerate([3, 4, 6, 1, 2, 8, 5]):
+        kind = (True, "b") if size % 2 == 0 else (False, "s")
+        sim.inject("cmd", payload={"kind": kind, "size": size}, at=0.5 * (k // 2))
+    result = sim.run()
+    return [(c.time, c.token.payload) for c in result.sink("out")], result.fired
+
+
+def test_keyed_document_round_trips():
+    net = parse(KEYED_DOC)
+    assert net.transitions["big"].key == ("cmd", "kind", (True, "b"))
+    assert net.source_map[("key", "small")][0] == KEYED_DOC.splitlines().index(
+        "  key cmd kind (False, 's')"
+    ) + 1
+    text = to_pnet(net)
+    assert "  key cmd kind (True, 'b')" in text
+    net2 = parse(text)
+    assert {t.name: t.key for t in net2.transitions.values()} == {
+        t.name: t.key for t in net.transitions.values()
+    }
+    compiled = _keyed_run(net, make_simulator)
+    assert compiled == _keyed_run(net2, make_simulator)
+    assert compiled == _keyed_run(parse(KEYED_DOC), Simulator)
+    assert compiled[1] == {"big": 2, "bypass": 0, "small": 3}
+
+
 @pytest.mark.parametrize(
     "doc,msg",
     [
@@ -134,6 +194,10 @@ def test_round_trip_preserves_behavior():
         ("net a\nbogus\n", "unexpected keyword"),
         ("net a\nplace in\nplace out\ntransition t\n consume in\n produce out\n delay expr: ][\n", "bad delay expression"),
         ("net a\nplace in\nplace out\ntransition t\n consume in\n produce out\n guard 1\n", "guard requires"),
+        ("net a\nplace in\nplace out\ntransition t\n consume in\n key in kind\n", "usage: key"),
+        ("net a\nplace in\nplace out\ntransition t\n consume in\n key in kind ][\n", "bad key value"),
+        ("net a\nplace in\nplace out\ntransition t\n consume in\n guard expr: True\n key out kind 1\n", "not one of its inputs"),
+        ("net a\nplace in\nplace out\ntransition t\n consume in\n key in kind 1\n", "needs a guard"),
     ],
 )
 def test_parse_errors(doc, msg):

@@ -10,9 +10,12 @@ from repro.petri import PetriNet
 from repro.petri.differential import (
     DiffCase,
     EngineMismatch,
+    KeyContractError,
     accel_cases,
+    check_key_contract,
     compare_engines,
     edge_cases,
+    keyed_cases,
     random_cases,
     run_differential,
     summarize,
@@ -31,7 +34,9 @@ def test_edge_cases_match(case):
     compare_engines(case)
 
 
-@pytest.mark.parametrize("case", random_cases(seed=1, count=15), ids=lambda c: c.name)
+@pytest.mark.parametrize(
+    "case", random_cases(seed=1, count=15) + keyed_cases(seed=1, count=8), ids=lambda c: c.name
+)
 def test_random_structural_nets_match(case):
     compare_engines(case)
 
@@ -45,7 +50,7 @@ def test_run_differential_returns_digest_per_case():
 def test_tracing_does_not_perturb_either_engine():
     # Observability contract: a tracer riding along must leave the
     # digest identical on both engines, for real accelerator nets too.
-    cases = accel_cases() + random_cases(seed=4, count=5)
+    cases = accel_cases() + random_cases(seed=4, count=5) + keyed_cases(seed=2, count=4)
     traced = run_differential(cases, tracing=True)
     plain = run_differential(cases)
     assert traced == plain
@@ -85,3 +90,27 @@ def test_summarize_excludes_token_uids():
         return summarize(sim.run(), net)
 
     assert run_once() == run_once()
+
+
+def test_key_contract_holds_on_keyed_nets():
+    checked = {c.name: check_key_contract(c) for c in accel_cases() + keyed_cases(seed=1, count=8)}
+    assert checked["jpeg[0]"] is None  # unkeyed: nothing to check
+    assert checked["vta[0]"] > 0 and checked["keyed[10000]"] > 0
+
+
+def test_key_contract_names_a_doctored_transition():
+    """A key that disagrees with its guard makes the compiled engine
+    diverge; the contract check names the transition, with a witness."""
+    vta = next(c for c in accel_cases() if c.name == "vta[0]")
+
+    def doctored():
+        net, sinks, load = vta.build()
+        t = net.transitions["compute_1010"]
+        t.key = (*t.key[:2], (False, "doctored"))
+        return net, sinks, load
+
+    case = DiffCase("vta-doctored", doctored)
+    with pytest.raises(KeyContractError, match="'compute_1010'.*'cmd_compute'.*payload"):
+        check_key_contract(case)
+    with pytest.raises(EngineMismatch):
+        compare_engines(case)
