@@ -190,7 +190,7 @@ SWEEPS = [("jpeg", _jpeg_sweep), ("optimusprime", _optimus_sweep)]
 def _tokenize_matrix(make_iface, workload):
     iface = make_iface()
     return [
-        [(inj.place, inj.payload, inj.at) for inj in iface.tokenize(w)]
+        [(place, payload, at) for place, payload, at in iface.tokenize(w)]
         for w in workload
     ]
 

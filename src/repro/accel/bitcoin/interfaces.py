@@ -9,7 +9,7 @@ tradeoff an SoC designer needs (paper example #1).
 from __future__ import annotations
 
 from repro.core.nl import EnglishInterface, PerformanceStatement, Relation
-from repro.core.petrinet import Injection, PetriNetInterface
+from repro.core.petrinet import PetriNetInterface
 from repro.core.program import ProgramInterface
 from repro.petri import parse
 
@@ -109,7 +109,7 @@ def petri_interface(loop: int) -> PetriNetInterface[MiningJob]:
     return PetriNetInterface(
         "bitcoin-miner",
         net_factory=lambda: parse(text),
-        tokenize=lambda _job: [Injection("in", payload=None)],
+        tokenize=lambda _job: [("in", None, 0.0)],
         sink="out",
         pnet_text=text,
     )

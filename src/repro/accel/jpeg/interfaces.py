@@ -11,7 +11,7 @@ deliberately abstracts detail: see DESIGN.md §6 for what each omits.
 from __future__ import annotations
 
 from repro.core.nl import EnglishInterface, PerformanceStatement, Relation
-from repro.core.petrinet import Injection, PetriNetInterface
+from repro.core.petrinet import PetriNetInterface
 from repro.core.program import ProgramInterface
 from repro.petri import parse
 
@@ -111,19 +111,16 @@ HEADER_PARSE = 150.0
 EOI_FLUSH = 8.0
 
 
-def tokenize_image(img: JpegImage) -> list[Injection]:
-    """One token per 8x8 block, available after the header parse."""
+def tokenize_image(img: JpegImage) -> list[tuple[str, dict, float]]:
+    """One ``(place, payload, at)`` token per 8x8 block, available after
+    the header parse."""
     n = img.n_blocks
+    sizes, nnzs = img.coded_bytes.tolist(), img.nnz.tolist()
     return [
-        Injection(
-            place="in",
-            payload={
-                "i": i,
-                "bytes": int(img.coded_bytes[i]),
-                "nnz": int(img.nnz[i]),
-                "wr": (i + 1) % 4 == 0 or i == n - 1,
-            },
-            at=HEADER_PARSE,
+        (
+            "in",
+            {"i": i, "bytes": sizes[i], "nnz": nnzs[i], "wr": (i + 1) % 4 == 0 or i == n - 1},
+            HEADER_PARSE,
         )
         for i in range(n)
     ]

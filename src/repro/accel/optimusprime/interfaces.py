@@ -104,15 +104,9 @@ transition transform
 
 
 def tokenize_message(msg: Message):
-    """One token per message: the parser array does not overlap them."""
-    from repro.core.petrinet import Injection
-
-    return [
-        Injection(
-            place="in",
-            payload={"fields": msg.total_fields, "size": msg.encoded_size()},
-        )
-    ]
+    """One ``(place, payload, at)`` token per message: the parser array
+    does not overlap them."""
+    return [("in", {"fields": msg.total_fields, "size": msg.encoded_size()}, 0.0)]
 
 
 def petri_interface(*, cache=None, tracer=None):

@@ -170,26 +170,21 @@ def _flatten(msg: Message) -> list[Message]:
 
 
 def tokenize_message(msg: Message):
-    """One token per (sub)message, in the order the read engine chases
-    them.  ``beats`` is the submessage's own encoded contribution (its
-    nested bodies are billed to their own tokens)."""
-    from repro.core.petrinet import Injection
-
+    """One ``(place, payload, at)`` token per (sub)message, in the order
+    the read engine chases them.  ``beats`` is the submessage's own
+    encoded contribution (its nested bodies are billed to their own
+    tokens)."""
     injections = []
     for part in _flatten(msg):
         own_encoded = part.encoded_size() - sum(
             s.encoded_size() for s in part.submessages()
         )
-        injections.append(
-            Injection(
-                place="in",
-                payload={
-                    "groups": ceil(part.num_fields / 32),
-                    "blob": _blob_stream_cost_own(part),
-                    "beats": max(1, -(-own_encoded // 8)),
-                },
-            )
-        )
+        payload = {
+            "groups": ceil(part.num_fields / 32),
+            "blob": _blob_stream_cost_own(part),
+            "beats": max(1, -(-own_encoded // 8)),
+        }
+        injections.append(("in", payload, 0.0))
     return injections
 
 

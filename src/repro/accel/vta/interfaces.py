@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 
 from repro.core.nl import EnglishInterface, PerformanceStatement, Relation
-from repro.core.petrinet import Injection, PetriNetInterface
+from repro.core.petrinet import PetriNetInterface
 from repro.core.program import ProgramInterface
 from repro.petri import PetriNet
 
@@ -268,22 +268,22 @@ def _head_insn(consumed) -> Instruction:
 
 def tokenize_program(
     program: Program, *, dispatch: float = 1.0, copy: int = 0, offset: float = 0.0
-) -> list[Injection]:
+) -> list[tuple[str, dict, float]]:
     """One token per instruction into its module's command queue, at the
     fetch module's one-per-cycle dispatch times, plus the three 'module
     free' tokens that serialize each engine (only for copy 0)."""
     injections = []
     if copy == 0:
         for m in Module:
-            injections.append(Injection(f"free_{m.value}", payload={"insn": None}, at=0.0))
-        injections.append(Injection("dram_port", payload={"insn": None}, at=0.0))
+            injections.append((f"free_{m.value}", {"insn": None}, 0.0))
+        injections.append(("dram_port", {"insn": None}, 0.0))
     base = offset
     for idx, insn in enumerate(program.instructions):
         injections.append(
-            Injection(
+            (
                 f"cmd_{insn.module.value}",
-                payload=dispatch_payload(insn, idx, copy),
-                at=base + (idx + 1) * dispatch,
+                dispatch_payload(insn, idx, copy),
+                base + (idx + 1) * dispatch,
             )
         )
     return injections
@@ -317,9 +317,9 @@ class VtaPetriInterface(PetriNetInterface[Program]):
         n = len(item.instructions)
         combined = item.streamed(repeat)
         injections = tokenize_program(combined)
-        for inj in injections:
-            if inj.payload.get("insn") is not None:
-                inj.payload["copy"] = inj.payload["idx"] // n
+        for _, payload, _ in injections:
+            if payload.get("insn") is not None:
+                payload["copy"] = payload["idx"] // n
         result = self._run(injections, n * repeat, self.tracer)
         ends = [0.0] * repeat
         for completion in result.sink("out"):

@@ -78,6 +78,16 @@ class Profiler(abc.ABC):
         self.wall_seconds = 0.0
         self.queries = 0
 
+    def fingerprint(self) -> str:
+        """Content identity of this tier's answers: two tiers of one
+        name with equal fingerprints report equal cycles for every
+        candidate.  The default hashes the canonical bytes of the
+        tier's :class:`VtaConfig` (``self.config``); a tier that answers
+        from anything else overrides it."""
+        from repro.perf.fingerprint import workload_key
+
+        return workload_key(self.config)
+
 
 class CycleAccurateProfiler(Profiler):
     """Per-cycle simulation: cost grows with simulated cycles."""
@@ -87,6 +97,7 @@ class CycleAccurateProfiler(Profiler):
     def __init__(self, config: VtaConfig | None = None):
         super().__init__()
         self._sim = TickVtaSimulator(config)
+        self.config = self._sim.config
 
     def _profile(self, program: Program) -> float:
         return self._sim.run(program).cycles
@@ -100,6 +111,7 @@ class EventModelProfiler(Profiler):
     def __init__(self, config: VtaConfig | None = None):
         super().__init__()
         self._model = VtaModel(config)
+        self.config = self._model.config
 
     def _profile(self, program: Program) -> float:
         return self._model.run(program).cycles
@@ -121,15 +133,25 @@ class PetriProfiler(Profiler):
         # One lowering, one engine pass over the whole generation.
         return self._iface.evaluate_batch(programs)
 
+    def fingerprint(self) -> str:
+        """The fingerprint of the net this tier profiles against."""
+        from repro.perf.fingerprint import net_fingerprint
+
+        return net_fingerprint(self._iface.net)
+
 
 class MemoizedProfiler(Profiler):
     """Never profile the same candidate twice (Jung et al.'s "PR" idea).
 
     Wraps any profiler tier with a content-addressed
     :class:`repro.perf.EvalCache`: candidates are keyed by their program
-    content, so re-visited points in a tuning sweep cost a dictionary
-    lookup instead of a simulation.  Wall-clock accounting still runs, so
-    ``profiling_speedups`` sees the (near-zero) cost of cache hits.
+    content, under a namespace naming the tier and its
+    :meth:`~Profiler.fingerprint` (computed once, here), so re-visited
+    points in a tuning sweep cost a dictionary lookup instead of a
+    simulation, and tiers of different configurations sharing one cache
+    never answer each other's candidates.  Wall-clock accounting still
+    runs, so ``profiling_speedups`` sees the (near-zero) cost of cache
+    hits.
     """
 
     def __init__(self, inner: Profiler, cache: "EvalCache | None" = None):
@@ -139,30 +161,30 @@ class MemoizedProfiler(Profiler):
         self.inner = inner
         self.cache = cache if cache is not None else EvalCache()
         self.name = f"memoized({inner.name})"
+        self._namespace = f"profiler:{inner.name}:{inner.fingerprint()}"
 
     def _profile(self, program: Program) -> float:
         return self.cache.get_or_compute(
-            f"profiler:{self.inner.name}",
-            program,
-            lambda: self.inner._profile(program),
+            self._namespace, program, lambda: self.inner._profile(program)
         )
 
     def _profile_batch(self, programs: list[Program]) -> list[float]:
         """Look every candidate up first, then batch only the misses
         through the inner tier — so memoization and batching compose."""
-        namespace = f"profiler:{self.inner.name}"
+        namespace = self._namespace
         out: list[float | None] = [None] * len(programs)
-        misses: list[int] = []
+        misses: list[tuple[int, str | None]] = []
         for i, program in enumerate(programs):
             hit = self.cache.get(namespace, program)
             if hit is self.cache.MISS:
-                misses.append(i)
+                misses.append((i, self.cache.last_key))
             else:
                 out[i] = hit
         if misses:
-            computed = self.inner._profile_batch([programs[i] for i in misses])
-            for i, value in zip(misses, computed):
-                self.cache.put(namespace, programs[i], value)
+            computed = self.inner._profile_batch([programs[i] for i, _ in misses])
+            for (i, key), value in zip(misses, computed, strict=True):
+                if key is not None:
+                    self.cache.put(namespace, programs[i], value, key=key)
                 out[i] = value
         return out  # type: ignore[return-value]
 
@@ -178,10 +200,10 @@ class RooflineProfiler(Profiler):
 
     def __init__(self, config: VtaConfig | None = None):
         super().__init__()
-        self._config = config or VtaConfig()
+        self.config = config or VtaConfig()
 
     def _profile(self, program: Program) -> float:
-        return latency_vta_roofline(program, self._config)
+        return latency_vta_roofline(program, self.config)
 
 
 @dataclass(frozen=True)

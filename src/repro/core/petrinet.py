@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Generic, TypeVar
+from typing import TYPE_CHECKING, Any, Generic, NamedTuple, TypeVar
 
 from repro.petri import (
     BatchEvaluator,
@@ -31,10 +31,19 @@ if TYPE_CHECKING:
 
 ItemT = TypeVar("ItemT")
 
+#: One workload item's tokens: ``(place, payload, at)`` triples, as plain
+#: tuples or :class:`Injection` objects alike.
+Tokens = Sequence[tuple[str, Any, float]]
 
-@dataclass(frozen=True)
-class Injection:
-    """One token to feed into the net for a workload item."""
+
+class Injection(NamedTuple):
+    """One token to feed into the net for a workload item.
+
+    The readable spelling of a ``(place, payload, at)`` tuple: every
+    layer unpacks tokens by position, so a tokenizer may return either
+    form (hot tokenizers return plain tuples, which are cheaper to
+    build).
+    """
 
     place: str
     payload: Any
@@ -117,7 +126,8 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
             marking between runs).  The net is lowered on first use and
             the lowering is kept, so build a new interface rather than
             mutating ``self.net`` after evaluating with it.
-        tokenize: Maps a workload item to the tokens to inject.
+        tokenize: Maps a workload item to the tokens to inject, as
+            ``(place, payload, at)`` tuples or :class:`Injection` objects.
         sink: Place whose completions mark finished work.
         epilogue: Fixed cycles appended after the last completion
             (drain/flush the net does not model).
@@ -145,7 +155,7 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
         self,
         accelerator: str,
         net_factory: Callable[[], PetriNet],
-        tokenize: Callable[[ItemT], Sequence[Injection]],
+        tokenize: Callable[[ItemT], Tokens],
         *,
         sink: str = "out",
         epilogue: float = 0.0,
@@ -169,7 +179,7 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
         self._compiled: CompiledNet | None = None
         self._batch: BatchEvaluator | None = None
 
-    def _expected_count(self, item: ItemT, injections: Sequence[Injection]) -> int:
+    def _expected_count(self, item: ItemT, injections: Tokens) -> int:
         return self._expected(item) if self._expected is not None else len(injections)
 
     def _compiled_net(self) -> CompiledNet:
@@ -177,16 +187,14 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
             self._compiled = CompiledNet(self.net)
         return self._compiled
 
-    def _run(
-        self, injections: Sequence[Injection], expected: int, tracer
-    ) -> SimResult:
+    def _run(self, injections: Tokens, expected: int, tracer) -> SimResult:
         """One per-item simulation on the interface's lowered net,
         checked for ``expected`` sink completions."""
         sim = make_simulator(
             self.net, sinks=(self.sink,), compiled=self._compiled_net(), tracer=tracer
         )
-        for inj in injections:
-            sim.inject(inj.place, inj.payload, at=inj.at)
+        for place, payload, at in injections:
+            sim.inject(place, payload, at=at)
         result = sim.run()
         done = len(result.completions[self.sink])
         if done != expected:
@@ -220,18 +228,18 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
         """
         injections = self.tokenize(item)
         expected = self._expected_count(item, injections)
-        features = (
-            "stages",
-            expected,
-            [(i.place, i.payload, i.at) for i in injections],
-        )
+        # tuple() turns an Injection into the plain triple it spells, so
+        # both forms key alike.
+        features = ("stages", expected, list(map(tuple, injections)))
         per_transition: dict[str, float] | None = None
         makespan = 0.0
+        key = None
         if self.cache is not None:
             hit = self.cache.get(self.net, features)
             if hit is not self.cache.MISS:
                 makespan, pairs = hit
                 per_transition = {str(n): float(c) for n, c in pairs}
+            key = self.cache.last_key
         if per_transition is None:
             # The harvest needs its own simulation: latency() may be
             # answered from the makespan cache without running the net,
@@ -241,11 +249,12 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
             per_transition = {
                 n: t.busy_time for n, t in self.net.transitions.items()
             }
-            if self.cache is not None:
+            if key is not None:
                 self.cache.put(
                     self.net,
                     features,
                     [makespan, [[n, c] for n, c in per_transition.items()]],
+                    key=key,
                 )
         total = makespan + self.epilogue
         if stage_map is None:
@@ -299,32 +308,29 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
         """
         cache = self.cache
         out: list[float | None] = []
-        misses: list[tuple[int, Sequence[Injection], int, Any]] = []
+        misses: list[tuple[int, Tokens, int, Any, str | None]] = []
         for item in items:
             injections = self.tokenize(item)
             expected = self._expected_count(item, injections)
-            features = None
+            features = key = None
             if cache is not None:
-                features = (
-                    "makespan",
-                    expected,
-                    [(inj.place, inj.payload, inj.at) for inj in injections],
-                )
+                features = ("makespan", expected, list(map(tuple, injections)))
                 hit = cache.get(self.net, features)
                 if hit is not cache.MISS:
                     out.append(hit + self.epilogue)
                     continue
-            misses.append((len(out), injections, expected, features))
+                key = cache.last_key
+            misses.append((len(out), injections, expected, features, key))
             out.append(None)
         if misses:
-            makespans = self._makespans([(injs, n) for _, injs, n, _ in misses])
-            for (i, _, _, features), makespan in zip(misses, makespans, strict=True):
-                if features is not None:
-                    cache.put(self.net, features, makespan)
+            makespans = self._makespans([(injs, n) for _, injs, n, _, _ in misses])
+            for (i, _, _, features, key), makespan in zip(misses, makespans, strict=True):
+                if key is not None:
+                    cache.put(self.net, features, makespan, key=key)
                 out[i] = makespan + self.epilogue
         return out  # type: ignore[return-value]
 
-    def _makespans(self, runs: list[tuple[Sequence[Injection], int]]) -> list[float]:
+    def _makespans(self, runs: list[tuple[Tokens, int]]) -> list[float]:
         """Makespans of ``(injections, expected)`` runs: one batch-engine
         pass, or one simulation per run while an enabled tracer is
         attached."""

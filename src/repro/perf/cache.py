@@ -85,6 +85,9 @@ class EvalCache:
     def __init__(self, path: str | os.PathLike[str] | None = None) -> None:
         self._store: dict[str, Any] = {}
         self.stats = CacheStats()
+        #: The key the latest :meth:`get` computed (``None`` when its
+        #: features were uncacheable): a miss hands it to :meth:`put`.
+        self.last_key: str | None = None
         self._m_hits = self._m_misses = self._m_uncacheable = None
         self._m_spills = self._m_unspillable = None
         self.disk: PersistentStore | None = None
@@ -121,16 +124,20 @@ class EvalCache:
     def get(self, net: PetriNet | str, features: Any) -> Any:
         """The cached value, or :data:`EvalCache.MISS`.
 
-        Uncacheable features count as such and report a miss (the caller
+        Records the key in :attr:`last_key`, so that a miss is keyed
+        once: pass it to :meth:`put`.  Uncacheable features count as
+        such, set ``last_key`` to ``None`` and report a miss (the caller
         must compute, and must not :meth:`put` the result).
         """
         try:
             key = self.key(net, features)
         except UncacheableError:
+            self.last_key = None
             self.stats.uncacheable += 1
             if self._m_uncacheable is not None:
                 self._m_uncacheable.inc()
             return self.MISS
+        self.last_key = key
         if key in self._store:
             self.stats.hits += 1
             if self._m_hits is not None:
@@ -141,13 +148,20 @@ class EvalCache:
             self._m_misses.inc()
         return self.MISS
 
-    def put(self, net: PetriNet | str, features: Any, value: Any) -> None:
+    def put(
+        self, net: PetriNet | str, features: Any, value: Any, *, key: str | None = None
+    ) -> None:
         """Store a computed value, spilling it to the persistent tier
-        when one is configured and the value is JSON-representable."""
-        try:
-            key = self.key(net, features)
-        except UncacheableError:
-            return
+        when one is configured and the value is JSON-representable.
+
+        ``key`` is the key :meth:`get` recorded for ``(net, features)``;
+        without it the key is derived again.
+        """
+        if key is None:
+            try:
+                key = self.key(net, features)
+            except UncacheableError:
+                return
         self._store[key] = value
         if self.disk is not None:
             if self.disk.append(key, value):

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any
 
 from .compiled import CompiledNet
@@ -290,9 +291,10 @@ def _codegen_source(spec: ChainSpec) -> str:
     """Emit the specialized per-item runner for a chain net.
 
     The generated function takes ``(injections, collect)`` where
-    ``injections`` is a list of ``(payload, at)`` pairs sorted by
-    ``at`` (ties keep injection order, matching the engines' (at, uid)
-    ordering), and returns ``(makespan, n, first_at, times)``.
+    ``injections`` is a list of ``(place, payload, at)`` triples on the
+    entry place, sorted by ``at`` (ties keep injection order, matching
+    the engines' (at, uid) ordering), and returns
+    ``(makespan, n, first_at, times)``.
     """
     n_stages = len(spec.stage_names)
     lines = [
@@ -300,7 +302,7 @@ def _codegen_source(spec: ChainSpec) -> str:
         "    n = len(injections)",
         "    if n == 0:",
         "        return (0.0, 0, None, [] if collect else None)",
-        "    first_at = injections[0][1]",
+        "    first_at = injections[0][2]",
         "    if first_at < 0.0:",
         "        raise SimulationError(",
         "            f'event scheduled in the past ({first_at} < 0.0)'",
@@ -318,7 +320,7 @@ def _codegen_source(spec: ChainSpec) -> str:
         if spec.out_caps[s] is not None:
             lines.append(f"    ring{s} = [0.0] * {spec.out_caps[s]}")
     inline_any = any(src is not None for src in spec.delay_srcs)
-    lines.append("    for payload, at in injections:")
+    lines.append("    for _, payload, at in injections:")
     lines.append("        c = at")
     if inline_any:
         lines.append("        tok = payload")
@@ -389,7 +391,7 @@ class _CodegenRunner:
         self._run_item = namespace["_run_item"]
 
     def run_item(
-        self, injections: list[tuple[Any, float]], collect: bool
+        self, injections: list[tuple[str, Any, float]], collect: bool
     ) -> BatchItemResult:
         makespan, n, first_at, times = self._run_item(injections, collect)
         return BatchItemResult(
@@ -407,18 +409,6 @@ class _CodegenRunner:
 # ----------------------------------------------------------------------
 
 
-def _normalize(injections: Sequence[Any]) -> list[tuple[str, Any, float]]:
-    """Accept Injection-likes or ``(place, payload, at)`` tuples."""
-    out = []
-    for inj in injections:
-        if isinstance(inj, tuple):
-            place, payload, at = inj
-        else:
-            place, payload, at = inj.place, inj.payload, inj.at
-        out.append((place, payload, at))
-    return out
-
-
 class BatchEvaluator:
     """Evaluate many workload items against one lowered net.
 
@@ -430,9 +420,10 @@ class BatchEvaluator:
             not a chain), or ``"columnar"``.
         compiled: Share a pre-built :class:`CompiledNet`.
 
-    Each item is a sequence of injections (``Injection`` objects or
-    ``(place, payload, at)`` tuples).  Results are bit-identical to
-    running :class:`CompiledSimulator` on each item in isolation.
+    Each item is a sequence of ``(place, payload, at)`` injections
+    (plain tuples or ``Injection`` named tuples; both unpack alike).
+    Results are bit-identical to running :class:`CompiledSimulator` on
+    each item in isolation.
     """
 
     def __init__(
@@ -478,33 +469,35 @@ class BatchEvaluator:
         """
         results = []
         codegen = self._codegen
-        entry = codegen.spec.entry if codegen is not None else None
+        # The codegen entry is a place, so the scan below may skip its
+        # lookup; with no codegen, no place equals the stand-in object.
+        entry = codegen.spec.entry if codegen is not None else object()
         place_index = self.compiled.place_index
         for injections in items:
-            norm = _normalize(injections)
-            for place, _, _ in norm:
-                if place not in place_index:
-                    raise SimulationError(f"unknown place {place!r}")
-            if codegen is not None and all(
-                p == entry and not isinstance(payload, Token)
-                for p, payload, _ in norm
-            ):
-                pairs = sorted(
-                    ((payload, at) for _, payload, at in norm),
-                    key=lambda e: e[1],
-                )
+            # One pass validates the places and picks the engine: the
+            # codegen chain takes only plain payloads on its entry place.
+            chain = codegen is not None
+            for place, payload, _ in injections:
+                if place != entry:
+                    if place not in place_index:
+                        raise SimulationError(f"unknown place {place!r}")
+                    chain = False
+                elif isinstance(payload, Token):
+                    chain = False
+            if chain:
+                by_at = sorted(injections, key=itemgetter(2))
                 try:
-                    results.append(codegen.run_item(pairs, collect))
+                    results.append(codegen.run_item(by_at, collect))
                     self.items_codegen += 1
                     continue
                 except _ZeroDelayBailout:
                     pass  # re-run this item on the event loop
-            results.append(self._run_columnar(norm, collect))
+            results.append(self._run_columnar(injections, collect))
             self.items_columnar += 1
         return results
 
     def _run_columnar(
-        self, injections: list[tuple[str, Any, float]], collect: bool
+        self, injections: Sequence[tuple[str, Any, float]], collect: bool
     ) -> BatchItemResult:
         """One item on the compiled event loop: materialize its tokens
         in injection order, run, and reduce the completions."""

@@ -33,7 +33,11 @@ Case families:
 * :func:`batch_cases` — batched-vs-compiled matrices over every
   accelerator net, seeded random chains (codegen coverage), the random
   structural nets above (columnar coverage), and hand-picked edge items
-  (zero/negative callable delays, empty items, mid-chain injections).
+  (zero/negative callable delays, empty items, mid-chain injections,
+  unknown places).  Every matrix runs in each form a tokenizer may
+  return (see :func:`item_forms`), and :func:`check_token_payload_routing`
+  adds items whose payloads are already :class:`~repro.petri.token.Token`
+  objects.
 
 Every keyed case additionally runs through :func:`check_key_contract`,
 which watches the reference engine for a guard accepting a head token
@@ -58,6 +62,7 @@ from .compiled import CompiledSimulator
 from .errors import PetriError
 from .net import PetriNet, Transition
 from .simulate import SimResult, Simulator
+from .token import Token
 
 #: A loader primes a simulator with injections (same API on both engines).
 Loader = Callable[[Any], None]
@@ -174,8 +179,8 @@ def _interface_case(name: str, make_iface: Callable[[], Any], item: Any) -> Diff
         injections = iface.tokenize(item)
 
         def load(sim: Any) -> None:
-            for inj in injections:
-                sim.inject(inj.place, inj.payload, at=inj.at)
+            for place, payload, at in injections:
+                sim.inject(place, payload, at=at)
 
         return iface.net, [iface.sink], load
 
@@ -584,9 +589,25 @@ def _compiled_item_digest(build: BatchBuilder, item: BatchItem) -> tuple:
     )
 
 
+def item_forms(items: Sequence[BatchItem]) -> dict[str, list[list[tuple]]]:
+    """The matrix in every form a tokenizer may return: plain
+    ``(place, payload, at)`` tuples, :class:`~repro.core.petrinet.Injection`
+    named tuples, and the two alternating within each item."""
+    from repro.core.petrinet import Injection
+
+    return {
+        "tuples": [[tuple(inj) for inj in item] for item in items],
+        "injections": [[Injection(*inj) for inj in item] for item in items],
+        "mixed": [
+            [Injection(*inj) if k % 2 else tuple(inj) for k, inj in enumerate(item)]
+            for item in items
+        ],
+    }
+
+
 def compare_batch_engines(case: BatchDiffCase) -> dict[str, list[tuple]]:
     """Assert every batch engine reproduces the compiled baseline on
-    *case*, item for item.
+    *case*, item for item, in every item form (:func:`item_forms`).
 
     The columnar engine runs always; the codegen engine additionally
     runs when the net is a supported chain.  When the baseline errors on
@@ -601,35 +622,37 @@ def compare_batch_engines(case: BatchDiffCase) -> dict[str, list[tuple]]:
     engines = ["columnar"]
     if codegen_supported(net, list(sinks)):
         engines.append("codegen")
+    forms = item_forms(case.items)
     out: dict[str, list[tuple]] = {}
     for engine in engines:
-        net, sinks = case.build()
-        evaluator = BatchEvaluator(net, list(sinks), engine=engine)
-        results = evaluator.evaluate(case.items[:ok_until], collect=True)
-        digests = [("ok", batch_summarize(r)) for r in results]
-        for i, (want, got) in enumerate(zip(baseline[:ok_until], digests)):
-            if want != got:
-                raise EngineMismatch(
-                    f"{case.name}[item {i}] ({engine}): batch engine disagrees "
-                    f"with compiled baseline\n"
-                    f"  compiled: {want!r}\n  batched:  {got!r}"
-                )
-        if first_error is not None:
+        for form, items in forms.items():
             net, sinks = case.build()
             evaluator = BatchEvaluator(net, list(sinks), engine=engine)
-            try:
-                evaluator.evaluate(case.items[: first_error + 1], collect=True)
-            except PetriError as exc:
-                got_err = ("error", type(exc).__name__, str(exc))
-            else:
-                got_err = ("no-error",)
-            if got_err != baseline[first_error]:
-                raise EngineMismatch(
-                    f"{case.name}[item {first_error}] ({engine}): error parity "
-                    f"failed\n"
-                    f"  compiled: {baseline[first_error]!r}\n"
-                    f"  batched:  {got_err!r}"
-                )
+            results = evaluator.evaluate(items[:ok_until], collect=True)
+            digests = [("ok", batch_summarize(r)) for r in results]
+            for i, (want, got) in enumerate(zip(baseline[:ok_until], digests)):
+                if want != got:
+                    raise EngineMismatch(
+                        f"{case.name}[item {i}] ({engine}, {form}): batch engine "
+                        f"disagrees with compiled baseline\n"
+                        f"  compiled: {want!r}\n  batched:  {got!r}"
+                    )
+            if first_error is not None:
+                net, sinks = case.build()
+                evaluator = BatchEvaluator(net, list(sinks), engine=engine)
+                try:
+                    evaluator.evaluate(items[: first_error + 1], collect=True)
+                except PetriError as exc:
+                    got_err = ("error", type(exc).__name__, str(exc))
+                else:
+                    got_err = ("no-error",)
+                if got_err != baseline[first_error]:
+                    raise EngineMismatch(
+                        f"{case.name}[item {first_error}] ({engine}, {form}): error "
+                        f"parity failed\n"
+                        f"  compiled: {baseline[first_error]!r}\n"
+                        f"  batched:  {got_err!r}"
+                    )
         out[engine] = digests
     return out
 
@@ -640,10 +663,7 @@ def _interface_batch_case(
     """Batch case driving an accelerator net through its own tokenizer,
     one item per workload element — the matrix ``evaluate_batch`` sees."""
     iface = make_iface()
-    items = [
-        [(inj.place, inj.payload, inj.at) for inj in iface.tokenize(w)]
-        for w in workload
-    ]
+    items = [list(map(tuple, iface.tokenize(w))) for w in workload]
 
     def build() -> tuple[PetriNet, Sequence[str]]:
         fresh = make_iface()
@@ -746,19 +766,36 @@ def random_structural_batch_case(seed: int) -> BatchDiffCase:
     return BatchDiffCase(f"rand-batch[{seed}]", build, items)
 
 
+def _edge_chain() -> tuple[PetriNet, Sequence[str]]:
+    """A two-stage codegen chain whose second delay reads the payload."""
+    net = PetriNet("edge-chain")
+    net.add_place("in")
+    net.add_place("mid", capacity=2)
+    net.add_place("out")
+    net.add_transition("a", ["in"], ["mid"], delay=1.5, servers=1)
+    net.add_transition("b", ["mid"], ["out"], delay=_payload_delay("mid", 0.5, 3), servers=1)
+    return net, ["out"]
+
+
+#: Valid tokens around two unknown places: ``'nowhere'`` comes first.
+_UNKNOWN_PLACE_ITEM: BatchItem = [
+    ("in", 2, 0.0),
+    ("nowhere", 3, 0.5),
+    ("in", 4, 0.5),
+    ("elsewhere", 5, 0.25),
+]
+
+
 def edge_batch_cases() -> list[BatchDiffCase]:
     """Hand-picked batch scenarios: codegen bailouts, per-item error
-    parity, empty items, and mid-chain injections."""
+    parity, empty items, mid-chain injections, and unknown places."""
 
-    def chain2() -> tuple[PetriNet, Sequence[str]]:
-        net = PetriNet("edge-chain")
+    def two_server() -> tuple[PetriNet, Sequence[str]]:
+        # Two servers rule out the codegen chain: columnar only.
+        net = PetriNet("edge-two-server")
         net.add_place("in")
-        net.add_place("mid", capacity=2)
         net.add_place("out")
-        net.add_transition("a", ["in"], ["mid"], delay=1.5, servers=1)
-        net.add_transition(
-            "b", ["mid"], ["out"], delay=_payload_delay("mid", 0.5, 3), servers=1
-        )
+        net.add_transition("t", ["in"], ["out"], delay=_payload_delay("in", 1.0, 4), servers=2)
         return net, ["out"]
 
     def zero_delay() -> tuple[PetriNet, Sequence[str]]:
@@ -785,7 +822,7 @@ def edge_batch_cases() -> list[BatchDiffCase]:
         # Mixed matrix: plain items, an empty item, same-instant ties.
         BatchDiffCase(
             "edge[mixed]",
-            chain2,
+            _edge_chain,
             [
                 [("in", k, 0.5 * k) for k in range(10)],
                 [],
@@ -795,7 +832,7 @@ def edge_batch_cases() -> list[BatchDiffCase]:
         # Mid-chain injection: codegen must hand that item to columnar.
         BatchDiffCase(
             "edge[mid-place]",
-            chain2,
+            _edge_chain,
             [
                 [("in", k, float(k)) for k in range(5)],
                 [("in", 0, 0.0), ("mid", 1, 0.0), ("in", 2, 1.0)],
@@ -820,10 +857,55 @@ def edge_batch_cases() -> list[BatchDiffCase]:
         # Error parity: injections cannot be scheduled in the past.
         BatchDiffCase(
             "edge[negative-at]",
-            chain2,
+            _edge_chain,
             [[("in", 0, 1.0)], [("in", 1, -2.0)]],
         ),
+        # Error parity: the first unknown place in injection order is
+        # named, on a codegen chain and on a columnar-only net (where a
+        # None place must be looked up like any other).
+        BatchDiffCase(
+            "edge[unknown-place-chain]",
+            _edge_chain,
+            [[("in", 0, 0.0), ("in", 1, 0.5)], _UNKNOWN_PLACE_ITEM],
+        ),
+        BatchDiffCase(
+            "edge[unknown-place-columnar]",
+            two_server,
+            [
+                [("in", 0, 0.0), ("in", 1, 0.5)],
+                [],
+                [("in", 2, 0.0), (None, 3, 0.5), *_UNKNOWN_PLACE_ITEM],
+            ],
+        ),
     ]
+
+
+def check_token_payload_routing() -> int:
+    """Assert that items whose payloads are already :class:`Token`
+    objects (alone, and mixed with plain payloads) match the compiled
+    baseline and run on the event loop even on a codegen chain (the
+    recurrence reads plain payloads only), in every item form.  The
+    engines inject such a token as is, so the case is built fresh here.
+    Returns how many items were checked."""
+    case = BatchDiffCase(
+        "edge[token-payload]",
+        _edge_chain,
+        [
+            [("in", Token(payload=k), 0.5 * k) for k in range(4)],
+            [("in", 0, 0.0), ("in", Token(payload=1), 0.0), ("in", 2, 0.5)],
+        ],
+    )
+    compare_batch_engines(case)
+    for form, items in item_forms(case.items).items():
+        net, sinks = case.build()
+        evaluator = BatchEvaluator(net, list(sinks))
+        evaluator.evaluate(items)
+        if evaluator.engine != "codegen" or evaluator.items_codegen:
+            raise EngineMismatch(
+                f"{case.name} ({form}): engine {evaluator.engine!r} ran "
+                f"{evaluator.items_codegen} Token-payload items on the codegen chain"
+            )
+    return len(case.items)
 
 
 def batch_cases() -> list[BatchDiffCase]:
@@ -912,11 +994,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     bresults = run_batch_differential(bcases)
     n_items = sum(len(case.items) for case in bcases)
     n_codegen = sum(1 for engines in bresults.values() if "codegen" in engines)
+    n_forms = len(item_forms([]))
     print(
         f"batched parity OK: {len(bcases)} matrices / {n_items} items vs the "
-        f"tracing-disabled compiled baseline "
+        f"tracing-disabled compiled baseline, each in {n_forms} item forms "
         f"({n_codegen} matrices also ran the codegen engine)"
     )
+    n_token = check_token_payload_routing()
+    print(f"token payloads OK: {n_token} items ran on the event loop of a codegen chain")
     return 0
 
 

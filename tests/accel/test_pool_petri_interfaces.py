@@ -77,8 +77,8 @@ class TestLintAndEngines:
             for msg in msgs:
                 ref = factory()  # fresh net for the reference run
                 sim = Simulator(ref.net, sinks=[ref.sink])
-                for inj in ref.tokenize(msg):
-                    sim.inject(inj.place, inj.payload, at=inj.at)
+                for place, payload, at in ref.tokenize(msg):
+                    sim.inject(place, payload, at=at)
                 assert iface.latency(msg) == sim.run().makespan() + ref.epilogue
 
     def test_one_shared_cache_serves_both_nets(self):

@@ -1,15 +1,18 @@
 """Tests for the auto-tuner: profilers, search, and cost model."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.accel.vta import GemmWorkload, legal_tilings, random_programs
+from repro.accel.vta import GemmWorkload, VtaConfig, legal_tilings, random_programs
 from repro.accel.vta.interfaces import petri_interface
 from repro.autotune import (
     Candidate,
     CycleAccurateProfiler,
     EventModelProfiler,
     LinearCostModel,
+    MemoizedProfiler,
     PetriProfiler,
     RooflineProfiler,
     anneal_tune,
@@ -18,6 +21,7 @@ from repro.autotune import (
     profiling_speedups,
     random_tune,
 )
+from repro.perf import EvalCache
 
 WORK = GemmWorkload(4, 4, 4)
 
@@ -53,6 +57,24 @@ class TestProfilers:
         )
         assert len(samples) == 2
         assert all(s.speedup > 1.0 for s in samples)
+
+    @pytest.mark.parametrize(
+        "tier", [PetriProfiler, CycleAccurateProfiler, EventModelProfiler, RooflineProfiler]
+    )
+    def test_memoized_tiers_of_two_configs_share_one_cache(self, tier):
+        """Each config's memoized tier answers with its own cycles, one
+        candidate at a time and in a batch, never with the other's."""
+        work = GemmWorkload(4, 8, 4)
+        program = Candidate(legal_tilings(work)[0]).lower(work)
+        base = VtaConfig()
+        configs = (base, replace(base, gemm_setup=4 * base.gemm_setup + 10))
+        direct = [tier(config).profile(program) for config in configs]
+        assert direct[0] != direct[1]
+        single, batched = EvalCache(), EvalCache()
+        assert [MemoizedProfiler(tier(c), single).profile(program) for c in configs] == direct
+        assert [
+            MemoizedProfiler(tier(c), batched).profile_batch([program])[0] for c in configs
+        ] == direct
 
     def test_roofline_is_cheap_and_rough(self):
         prof = RooflineProfiler()

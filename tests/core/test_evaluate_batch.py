@@ -105,8 +105,8 @@ def test_latency_and_batch_agree_with_the_reference_engine(name, mode):
     factory, item = _shipped_interfaces()[name]
     ref = factory()
     sim = Simulator(ref.net, sinks=[ref.sink])
-    for inj in ref.tokenize(item):
-        sim.inject(inj.place, inj.payload, at=inj.at)
+    for place, payload, at in ref.tokenize(item):
+        sim.inject(place, payload, at=at)
     want = sim.run().makespan() + ref.epilogue
 
     iface = factory()
@@ -130,7 +130,7 @@ def test_columnar_engine_agrees_on_every_shipped_interface(name):
 
     factory, item = _shipped_interfaces()[name]
     iface = factory()
-    injections = [(inj.place, inj.payload, inj.at) for inj in iface.tokenize(item)]
+    injections = [(place, payload, at) for place, payload, at in iface.tokenize(item)]
     evaluator = BatchEvaluator(iface.net, (iface.sink,), engine="columnar")
     [makespan] = evaluator.evaluate_makespans([injections])
     assert evaluator.items_columnar == 1

@@ -20,8 +20,10 @@ from repro.petri import (
 from repro.petri.differential import (
     accel_batch_cases,
     batch_cases,
+    check_token_payload_routing,
     compare_batch_engines,
     edge_batch_cases,
+    item_forms,
     random_chain_case,
     random_structural_batch_case,
 )
@@ -208,6 +210,24 @@ def test_chain_shaped_accelerators_exercise_codegen():
 @pytest.mark.parametrize("case", edge_batch_cases(), ids=lambda c: c.name)
 def test_edge_batch_parity(case):
     compare_batch_engines(case)
+
+
+def test_token_payloads_run_on_the_event_loop():
+    # Digest parity and columnar routing, in every item form.
+    assert check_token_payload_routing() == 2
+
+
+def test_item_forms_spell_the_same_triples():
+    items = [[("in", 1, 0.0), ("in", 2, 0.5), ("in", 3, 1.0)], []]
+    forms = item_forms(items)
+    assert set(forms) == {"tuples", "injections", "mixed"}
+    for form in forms.values():
+        assert [[tuple(inj) for inj in item] for item in form] == items
+    assert [type(inj).__name__ for inj in forms["mixed"][0]] == [
+        "tuple",
+        "Injection",
+        "tuple",
+    ]
 
 
 @pytest.mark.parametrize("seed", range(6))
