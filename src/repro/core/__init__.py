@@ -41,7 +41,6 @@ from .validation import (
     InterfaceReport,
     accuracy_gain,
     compare_representations,
-    online_drift,
     validate_interface,
 )
 
@@ -75,7 +74,6 @@ __all__ = [
     "loc_of_text",
     "mean_workload_latency",
     "offload_speedup",
-    "online_drift",
     "pareto_frontier",
     "pick_under_area_budget",
     "rank_by_latency",

@@ -151,23 +151,6 @@ def validate_interface(
     )
 
 
-def online_drift(
-    predicted: Sequence[float], observed: Sequence[float]
-) -> ErrorReport:
-    """Score a sliding window of live predictions against observations.
-
-    The online counterpart of :func:`validate_interface`: the serving
-    runtime (:mod:`repro.runtime.degrade`) feeds it the most recent
-    (interface-predicted, model-observed) latency pairs to decide whether
-    the interface has drifted off its calibrated envelope — the failure
-    mode Lübeck et al. and Jung et al. document for fitted performance
-    models off the calibrated path.
-    """
-    if not predicted or len(predicted) != len(observed):
-        raise ValueError("need equal-length, non-empty prediction/observation windows")
-    return ErrorReport.of(predicted, observed)
-
-
 def compare_representations(
     interfaces: dict[str, PerformanceInterface[ItemT]],
     model: AcceleratorModel[ItemT],

@@ -36,36 +36,6 @@ class Summary:
             p99=float(np.percentile(arr, 99)),
         )
 
-    @classmethod
-    def merge(cls, *summaries: Summary) -> Summary:
-        """Fold summaries of disjoint windows into one.
-
-        ``count``/``mean``/``minimum``/``maximum`` merge *exactly*.
-        The quantiles are count-weighted averages of the inputs'
-        quantiles — exact when the windows are identically distributed,
-        an approximation otherwise (a drift observatory folding
-        per-window summaries accepts that; pair with a
-        :class:`Reservoir` when accurate tails matter).
-        """
-        if not summaries:
-            raise ValueError("cannot merge zero summaries")
-        total = sum(s.count for s in summaries)
-        if total == 0:
-            raise ValueError("cannot merge empty summaries")
-
-        def weighted(attr: str) -> float:
-            return sum(getattr(s, attr) * s.count for s in summaries) / total
-
-        return cls(
-            count=total,
-            mean=weighted("mean"),
-            minimum=min(s.minimum for s in summaries),
-            maximum=max(s.maximum for s in summaries),
-            p50=weighted("p50"),
-            p95=weighted("p95"),
-            p99=weighted("p99"),
-        )
-
     def __str__(self) -> str:
         return (
             f"n={self.count} mean={self.mean:.3f} min={self.minimum:.3f} "
@@ -78,9 +48,10 @@ class Reservoir:
     """Seeded streaming uniform sample (Vitter's Algorithm R).
 
     Keeps at most ``capacity`` of the values seen so far, each with
-    equal probability, in O(capacity) memory — the accurate-quantile
-    companion to :meth:`Summary.merge`'s approximate folding.
-    Deterministic for a given seed and input order.
+    equal probability, in O(capacity) memory, so quantiles of a long
+    stream cost a bounded sample (the drift observatory keeps one per
+    key beside exact running moments).  Deterministic for a given seed
+    and input order.
     """
 
     __slots__ = ("capacity", "seen", "_values", "_rng")

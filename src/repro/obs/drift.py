@@ -6,11 +6,9 @@ the live half of that loop: every successful pool offload reports
 ``(device, request, predicted, observed)`` here, and per
 ``(device, rpc-class)`` key it maintains
 
-* a seeded :class:`~repro.hw.stats.Reservoir` of relative errors
-  (accurate quantiles in bounded memory),
-* window-folded :class:`~repro.hw.stats.Summary` aggregates
-  (:meth:`~repro.hw.stats.Summary.merge` over fixed-size chunks, so
-  mean/min/max stay exact over millions of calls), and
+* the exact running count, sum, min and max of the relative errors,
+* a seeded :class:`~repro.hw.stats.Reservoir` of them (quantiles in
+  bounded memory), and
 * a :class:`~repro.runtime.degrade.DriftDetector` whose verdict feeds
   back to the caller (a drifting class is the operator's cue that the
   interface no longer describes the hardware).
@@ -22,7 +20,7 @@ after a serving scenario; the E15 benchmark appends it to its output.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.hw.stats import Reservoir, Summary, relative_error
@@ -115,9 +113,10 @@ class _KeyState:
 
     __slots__ = (
         "samples",
+        "err_sum",
+        "err_min",
+        "err_max",
         "errors",
-        "chunk",
-        "merged",
         "detector",
         "drifting",
         "last_at",
@@ -125,9 +124,10 @@ class _KeyState:
 
     def __init__(self, reservoir_capacity: int, seed: int, detector):
         self.samples = 0
+        self.err_sum = 0.0
+        self.err_min = float("inf")
+        self.err_max = -float("inf")
         self.errors = Reservoir(reservoir_capacity, seed=seed)
-        self.chunk: list[float] = []
-        self.merged: Summary | None = None
         self.detector = detector
         self.drifting = False
         self.last_at = 0.0
@@ -143,9 +143,6 @@ class DriftObservatory:
             :attr:`size_classes` and are guaranteed to agree on
             labels) or a bare callable.  Defaults to
             :data:`DEFAULT_SIZE_CLASSES`.
-        window: chunk size for :meth:`~repro.hw.stats.Summary.merge`
-            folding — errors are summarized per ``window`` samples and
-            folded, so memory stays O(window + reservoir) per key.
         reservoir_capacity: per-key error sample size.
         detector_factory: builds the per-key
             :class:`~repro.runtime.degrade.DriftDetector`; ``None``
@@ -159,14 +156,11 @@ class DriftObservatory:
         self,
         *,
         classifier: SizeClasses | Callable[[Any], str] | None = None,
-        window: int = 64,
         reservoir_capacity: int = 256,
         seed: int = 0,
         detector_factory: Callable[[], Any] | None = None,
         metrics=None,
     ):
-        if window < 1:
-            raise ValueError("window must be >= 1")
         if classifier is None:
             classifier = DEFAULT_SIZE_CLASSES
         if isinstance(classifier, SizeClasses):
@@ -177,7 +171,6 @@ class DriftObservatory:
         else:
             self.size_classes = None
             self.classifier = classifier
-        self.window = window
         self.reservoir_capacity = reservoir_capacity
         self.seed = seed
         self._detector_factory = detector_factory
@@ -232,16 +225,12 @@ class DriftObservatory:
         err = relative_error(predicted, observed)
         state.samples += 1
         state.last_at = at
+        state.err_sum += err
+        if err < state.err_min:
+            state.err_min = err
+        if err > state.err_max:
+            state.err_max = err
         state.errors.add(err)
-        state.chunk.append(err)
-        if len(state.chunk) >= self.window:
-            folded = Summary.of(state.chunk)
-            state.merged = (
-                folded
-                if state.merged is None
-                else Summary.merge(state.merged, folded)
-            )
-            state.chunk.clear()
         state.drifting = bool(state.detector.update(predicted, observed))
         if self.metrics is not None:
             device_label, rpc_class = key
@@ -364,27 +353,19 @@ class DriftObservatory:
         return state.samples if state is not None else 0
 
     def error_summary(self, device: str, rpc_class: str) -> Summary | None:
-        """Folded relative-error summary for one key (``None`` until a
-        sample arrives).  Mean/min/max are exact; quantiles are the
-        documented merge approximation — see :meth:`error_quantiles`
-        for the reservoir's accurate tails."""
+        """Relative-error summary for one key (``None`` before its first
+        sample): count, mean, min and max over every error seen, and
+        quantiles of the reservoir's uniform sample of them."""
         state = self._keys.get((device, rpc_class))
-        if state is None or state.samples == 0:
+        if state is None:
             return None
-        parts = []
-        if state.merged is not None:
-            parts.append(state.merged)
-        if state.chunk:
-            parts.append(Summary.of(state.chunk))
-        return Summary.merge(*parts)
-
-    def error_quantiles(self, device: str, rpc_class: str) -> Summary | None:
-        """Reservoir-sampled error summary (accurate quantiles over a
-        uniform sample of the whole stream)."""
-        state = self._keys.get((device, rpc_class))
-        if state is None or len(state.errors) == 0:
-            return None
-        return state.errors.summary()
+        return replace(
+            state.errors.summary(),
+            count=state.samples,
+            mean=state.err_sum / state.samples,
+            minimum=state.err_min,
+            maximum=state.err_max,
+        )
 
     def drifting_keys(self) -> list[tuple[str, str]]:
         return sorted(k for k, s in self._keys.items() if s.drifting)
@@ -396,8 +377,8 @@ class DriftObservatory:
         return state.detector if state is not None else None
 
     def reset_detector(self, device: str, rpc_class: str) -> None:
-        """Forget one key's drift *window* (samples and folded error
-        history are kept).  Called by the healing loop after a hot-swap:
+        """Forget one key's drift *window* (samples and error history
+        are kept).  Called by the healing loop after a hot-swap:
         the old window scored the old interface, and carrying it over
         would keep flagging drift the new interface no longer has."""
         state = self._keys.get((device, rpc_class))
@@ -410,16 +391,16 @@ class DriftObservatory:
         """Programmatic view, one entry per (device, rpc-class)."""
         out: dict[str, Any] = {}
         for (device, rpc_class), state in sorted(self._keys.items()):
-            quant = self.error_quantiles(device, rpc_class)
+            summary = self.error_summary(device, rpc_class)
             out[f"{device}/{rpc_class}"] = {
                 "samples": state.samples,
                 "drifting": state.drifting,
                 "score": state.detector.last_score,
                 "threshold": state.detector.threshold,
-                "err_mean": self.error_summary(device, rpc_class).mean,
-                "err_p50": quant.p50 if quant else None,
-                "err_p95": quant.p95 if quant else None,
-                "err_p99": quant.p99 if quant else None,
+                "err_mean": summary.mean,
+                "err_p50": summary.p50,
+                "err_p95": summary.p95,
+                "err_p99": summary.p99,
                 "last_at": state.last_at,
             }
         return out
@@ -434,12 +415,11 @@ class DriftObservatory:
         ]
         for (device, rpc_class), state in sorted(self._keys.items()):
             summary = self.error_summary(device, rpc_class)
-            quant = self.error_quantiles(device, rpc_class)
             score = state.detector.last_score
             lines.append(
                 f"{device:14}  {rpc_class:8}  {state.samples:6d}  "
                 f"{summary.mean:8.1%}  "
-                f"{quant.p50:7.1%}  {quant.p95:7.1%}  {quant.p99:7.1%}  "
+                f"{summary.p50:7.1%}  {summary.p95:7.1%}  {summary.p99:7.1%}  "
                 + (f"{score:7.1%}  " if score is not None else f"{'-':>7}  ")
                 + ("DRIFTING" if state.drifting else "ok")
             )

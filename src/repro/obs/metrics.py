@@ -89,14 +89,23 @@ class Gauge:
         self.value -= amount
 
 
+def _bound_label(bound: float) -> str:
+    """A bucket bound's ``le`` text: the short ``:g`` form when it reads
+    back as the same float, else ``repr`` (``1000001.0``, which ``:g``
+    would round to ``1e+06``, the label of a neighbouring bound)."""
+    text = f"{bound:g}"
+    return text if float(text) == bound else repr(bound)
+
+
 class Histogram:
     """Fixed-boundary histogram with cumulative-count exposition.
 
     ``buckets`` are upper bounds; an implicit ``+Inf`` bucket catches
-    the rest.  ``observe`` costs one bisect + one increment.
+    the rest.  ``observe`` costs one bisect + one increment.  Each
+    bound's exposition label is rendered once, here.
     """
 
-    __slots__ = ("buckets", "counts", "count", "sum")
+    __slots__ = ("buckets", "bound_labels", "counts", "count", "sum")
 
     def __init__(self, buckets: Sequence[float] = DEFAULT_CYCLE_BUCKETS):
         bounds = tuple(float(b) for b in buckets)
@@ -105,6 +114,7 @@ class Histogram:
         if list(bounds) != sorted(bounds) or len(set(bounds)) != len(bounds):
             raise ValueError("bucket bounds must be strictly increasing")
         self.buckets = bounds
+        self.bound_labels = tuple(_bound_label(b) for b in bounds)
         self.counts = [0] * (len(bounds) + 1)
         self.count = 0
         self.sum = 0.0
@@ -118,29 +128,12 @@ class Histogram:
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
 
-    def quantile(self, q: float) -> float:
-        """Bucket-resolution quantile estimate (upper bound of the
-        bucket holding the q-th sample; ``inf`` when it lands in the
-        overflow bucket).  Coarse by design — for accurate tails use a
-        :class:`~repro.hw.stats.Reservoir`."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("q must be in [0, 1]")
-        if self.count == 0:
-            return 0.0
-        rank = q * self.count
-        seen = 0
-        for i, c in enumerate(self.counts):
-            seen += c
-            if seen >= rank and c:
-                return self.buckets[i] if i < len(self.buckets) else float("inf")
-        return float("inf")
-
     def snapshot(self) -> dict[str, Any]:
         cumulative: dict[str, int] = {}
         running = 0
-        for bound, c in zip(self.buckets, self.counts, strict=False):
+        for label, c in zip(self.bound_labels, self.counts, strict=False):
             running += c
-            cumulative[f"{bound:g}"] = running
+            cumulative[label] = running
         cumulative["+Inf"] = self.count
         return {"count": self.count, "sum": self.sum, "buckets": cumulative}
 

@@ -4,13 +4,12 @@ The :class:`~repro.obs.metrics.MetricsRegistry` answers "what is the
 value *now*"; this module answers "what was it *then*" — without which
 an SLO verdict, an autoscaler decision, or a drift arc cannot be
 reconstructed after the fact.  :class:`TimeSeriesStore` is the smallest
-store that earns that: fixed-size ring buffers per series (bounded
-memory, oldest points retired first), multi-resolution downsampling
-(count/sum/min/max per bucket at each configured resolution, so a long
-run keeps coarse history after the raw ring wraps), a bounded event
-log for instants (scale events, brownout transitions, heal
-transitions), and the two queries operators actually run: rate over a
-window and a quantile over time.
+store that earns that: one fixed-size ring of raw points per series
+(bounded memory, oldest points retired first) and a bounded event log
+for instants (scale events, brownout transitions, heal transitions).
+Its queries are windowed :meth:`~TimeSeriesStore.points` and
+:meth:`~TimeSeriesStore.events` (what ``perfscope timeline`` reads),
+plus ``latest`` and ``rate``.
 
 Timestamps are virtual cycles, same as every clock in the repo, so a
 stored run is deterministic: same seeds, same workload ⇒ identical
@@ -76,80 +75,12 @@ class _Ring:
         return len(self._points)
 
 
-class _Buckets:
-    """One downsampling resolution: a ring of fixed-width buckets, each
-    aggregating ``(count, sum, min, max)`` over ``width`` cycles."""
-
-    __slots__ = ("width", "capacity", "_buckets")
-
-    def __init__(self, width: float, capacity: int):
-        self.width = width
-        self.capacity = capacity
-        # bucket index -> [count, sum, min, max]; insertion-ordered so
-        # the oldest key is first (dicts preserve insertion order and
-        # time only moves forward on the virtual clock).
-        self._buckets: dict[int, list[float]] = {}
-
-    def add(self, at: float, value: float) -> None:
-        index = int(at // self.width)
-        bucket = self._buckets.get(index)
-        if bucket is None:
-            if len(self._buckets) >= self.capacity:
-                oldest = next(iter(self._buckets))
-                del self._buckets[oldest]
-            self._buckets[index] = [1.0, value, value, value]
-        else:
-            bucket[0] += 1.0
-            bucket[1] += value
-            if value < bucket[2]:
-                bucket[2] = value
-            if value > bucket[3]:
-                bucket[3] = value
-
-    def items(self) -> list[tuple[float, dict[str, float]]]:
-        """``(bucket_start, {count, sum, min, max, mean})`` in time order."""
-        out = []
-        for index in sorted(self._buckets):
-            count, total, lo, hi = self._buckets[index]
-            out.append(
-                (
-                    index * self.width,
-                    {
-                        "count": count,
-                        "sum": total,
-                        "min": lo,
-                        "max": hi,
-                        "mean": total / count,
-                    },
-                )
-            )
-        return out
-
-
-class _Series:
-    __slots__ = ("name", "raw", "resolutions")
-
-    def __init__(self, name: str, capacity: int, resolutions, bucket_capacity):
-        self.name = name
-        self.raw = _Ring(capacity)
-        self.resolutions = tuple(
-            _Buckets(width, bucket_capacity) for width in resolutions
-        )
-
-    def add(self, at: float, value: float) -> None:
-        self.raw.append(at, value)
-        for buckets in self.resolutions:
-            buckets.add(at, value)
-
-
 class TimeSeriesStore:
-    """Bounded, zero-dependency, multi-resolution time-series storage.
+    """Bounded, zero-dependency time-series storage: a raw ring per
+    series plus an event log.
 
     Args:
         capacity: raw points retained per series (ring buffer).
-        resolutions: downsampling bucket widths in cycles, coarse
-            history that survives after the raw ring wraps.
-        bucket_capacity: buckets retained per resolution per series.
         event_capacity: instants retained in the event log.
         pump_interval: minimum cycles between :meth:`maybe_pump` folds
             of the metrics registry.
@@ -159,29 +90,23 @@ class TimeSeriesStore:
         self,
         *,
         capacity: int = 1024,
-        resolutions: tuple[float, ...] = (1_000.0, 10_000.0),
-        bucket_capacity: int = 512,
         event_capacity: int = 2048,
         pump_interval: float = 1_000.0,
     ):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        if any(w <= 0 for w in resolutions):
-            raise ValueError(f"resolutions must be positive: {resolutions}")
         self.capacity = capacity
-        self.resolutions = tuple(resolutions)
-        self.bucket_capacity = bucket_capacity
         self.event_capacity = event_capacity
         self.pump_interval = pump_interval
         self.pumps = 0
         self.last_pump_at: float | None = None
         self.last_at: float | None = None
         self.dropped_events = 0
-        self._series: dict[str, _Series] = {}
+        self._series: dict[str, _Ring] = {}
         self._events: list[tuple[float, str, dict[str, Any]]] = []
         # Pumped instrument -> its series (a histogram: its ``:count``
         # and ``:sum`` series).
-        self._bound: dict[Any, _Series | tuple[_Series, _Series]] = {}
+        self._bound: dict[Any, _Ring | tuple[_Ring, _Ring]] = {}
 
     # ------------------------------------------------------------------
     # Ingest
@@ -189,16 +114,14 @@ class TimeSeriesStore:
     def record(self, name: str, at: float, value: float, **labels: Any) -> None:
         """Append one point to series ``name`` (labels rendered into the
         series key, metrics-registry style)."""
-        self._get_series(series_key(name, labels)).add(at, float(value))
+        self._get_series(series_key(name, labels)).append(at, float(value))
         if self.last_at is None or at > self.last_at:
             self.last_at = at
 
-    def _get_series(self, key: str) -> _Series:
+    def _get_series(self, key: str) -> _Ring:
         series = self._series.get(key)
         if series is None:
-            series = self._series[key] = _Series(
-                key, self.capacity, self.resolutions, self.bucket_capacity
-            )
+            series = self._series[key] = _Ring(self.capacity)
         return series
 
     def event(self, name: str, at: float, **fields: Any) -> None:
@@ -237,11 +160,11 @@ class TimeSeriesStore:
                     )
                 )
             if type(series) is tuple:
-                series[0].add(at, float(instrument.count))
-                series[1].add(at, float(instrument.sum))
+                series[0].append(at, float(instrument.count))
+                series[1].append(at, float(instrument.sum))
                 written += 2
             else:
-                series.add(at, float(instrument.value))
+                series.append(at, float(instrument.value))
                 written += 1
         if written and (self.last_at is None or at > self.last_at):
             self.last_at = at
@@ -277,7 +200,7 @@ class TimeSeriesStore:
         series = self._series.get(name)
         if series is None:
             return []
-        out = series.raw.items()
+        out = series.items()
         if since is not None:
             out = [p for p in out if p[0] >= since]
         if until is not None:
@@ -286,9 +209,9 @@ class TimeSeriesStore:
 
     def latest(self, name: str) -> tuple[float, float] | None:
         series = self._series.get(name)
-        if series is None or len(series.raw) == 0:
+        if series is None or len(series) == 0:
             return None
-        return series.raw.items()[-1]
+        return series.items()[-1]
 
     def rate(self, name: str, *, window: float | None = None) -> float | None:
         """Per-cycle rate of change over the retained window (for
@@ -305,37 +228,6 @@ class TimeSeriesStore:
         if t1 <= t0:
             return None
         return (v1 - v0) / (t1 - t0)
-
-    def quantile_over_time(
-        self, name: str, q: float, *, window: float | None = None
-    ) -> float | None:
-        """The ``q``-quantile of the retained raw values (gauge-shaped
-        series), nearest-rank, optionally over the trailing window."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile out of range: {q}")
-        points = self.points(name)
-        if window is not None and points:
-            horizon = points[-1][0] - window
-            points = [p for p in points if p[0] >= horizon]
-        if not points:
-            return None
-        values = sorted(v for _, v in points)
-        index = min(len(values) - 1, max(0, round(q * (len(values) - 1))))
-        return values[index]
-
-    def downsampled(
-        self, name: str, resolution: float
-    ) -> list[tuple[float, dict[str, float]]]:
-        """Bucketed aggregates at one configured resolution."""
-        series = self._series.get(name)
-        if series is None:
-            return []
-        for buckets in series.resolutions:
-            if buckets.width == resolution:
-                return buckets.items()
-        raise ValueError(
-            f"resolution {resolution} not configured (have {self.resolutions})"
-        )
 
     def events(
         self,
@@ -362,7 +254,7 @@ class TimeSeriesStore:
         """Freshness excerpt for pool snapshots and operator reports."""
         return {
             "series": len(self._series),
-            "points": sum(s.raw.total for s in self._series.values()),
+            "points": sum(s.total for s in self._series.values()),
             "events": len(self._events),
             "dropped_events": self.dropped_events,
             "pumps": self.pumps,

@@ -2,13 +2,11 @@
 
 Two pieces:
 
-* :class:`DriftDetector` — an online sliding window over
-  (interface-predicted, model-observed) latency pairs, scored with the
-  same relative-error machinery the offline validation harness uses
-  (:func:`repro.core.validation.online_drift`).  When the windowed
-  average relative error crosses the threshold, the interface has
-  drifted off its calibrated envelope and the breaker should stop
-  trusting the accelerator path.
+* :class:`DriftDetector` — an online sliding window over the
+  relative errors of (interface-predicted, model-observed) latency
+  pairs.  When the windowed average error crosses the threshold, the
+  interface has drifted off its calibrated envelope and the breaker
+  should stop trusting the accelerator path.
 
 * :class:`CpuFallback` — the degraded-mode service: a functional
   software implementation plus its latency model (typically the
@@ -23,7 +21,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Generic, TypeVar
 
-from repro.core.validation import online_drift
 from repro.hw.stats import ErrorReport
 
 RequestT = TypeVar("RequestT")
@@ -70,10 +67,8 @@ class DriftDetector:
     ``|p - o| / o``, it does not saturate at 1 when the device runs far
     slower than predicted, which is exactly the regime drift detection
     exists for.  Each pair's error is computed once, when it arrives,
-    and kept in a window beside the pair, so an update costs one error
-    plus a sum over the window.  The plain
-    :class:`~repro.hw.stats.ErrorReport` from the validation machinery
-    is computed when :attr:`last_report` is read.
+    and only the errors are kept, so an update costs one error plus a
+    sum over the window.
 
     Args:
         window: number of recent (predicted, observed) pairs scored.
@@ -97,7 +92,6 @@ class DriftDetector:
             raise ValueError("threshold must be positive")
         self.threshold = threshold
         self.min_samples = min_samples
-        self._pairs: deque[tuple[float, float]] = deque(maxlen=window)
         self._errors: deque[float] = deque(maxlen=window)
         self.last_score: float | None = None
 
@@ -123,17 +117,7 @@ class DriftDetector:
 
     @property
     def samples(self) -> int:
-        return len(self._pairs)
-
-    @property
-    def last_report(self) -> ErrorReport | None:
-        """The validation harness's report over the current window
-        (:func:`~repro.core.validation.online_drift`); ``None`` below
-        ``min_samples`` and after :meth:`reset`."""
-        if self.samples < self.min_samples:
-            return None
-        predicted, observed = zip(*self._pairs)
-        return online_drift(list(predicted), list(observed))
+        return len(self._errors)
 
     @staticmethod
     def symmetric_error(predicted: float, observed: float) -> float:
@@ -144,7 +128,6 @@ class DriftDetector:
 
     def update(self, predicted: float, observed: float) -> bool:
         """Record one pair; return True when the window is in drift."""
-        self._pairs.append((predicted, observed))
         errors = self._errors
         errors.append(self.symmetric_error(predicted, observed))
         if len(errors) < self.min_samples:
@@ -154,7 +137,6 @@ class DriftDetector:
 
     def reset(self) -> None:
         """Forget the window (e.g. after the breaker closes again)."""
-        self._pairs.clear()
         self._errors.clear()
         self.last_score = None
 

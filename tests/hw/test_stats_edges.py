@@ -1,5 +1,5 @@
-"""Edge-case tests for repro.hw.stats: Summary.merge, Reservoir, and
-the degenerate samples the happy-path suites never hit."""
+"""Edge-case tests for repro.hw.stats: Summary, Reservoir, and the
+degenerate samples the happy-path suites never hit."""
 
 import pytest
 
@@ -16,33 +16,6 @@ class TestSummaryEdges:
         assert s.count == 1
         assert s.mean == s.minimum == s.maximum == 42.0
         assert s.p50 == s.p95 == s.p99 == 42.0
-
-    def test_merge_zero_summaries_raises(self):
-        with pytest.raises(ValueError, match="zero summaries"):
-            Summary.merge()
-
-    def test_merge_single_summary_is_identity(self):
-        s = Summary.of([1.0, 2.0, 3.0])
-        m = Summary.merge(s)
-        assert m == s
-
-    def test_merge_count_weighting(self):
-        heavy = Summary.of([10.0] * 9)
-        light = Summary.of([100.0])
-        m = Summary.merge(heavy, light)
-        assert m.count == 10
-        assert m.mean == pytest.approx(19.0)
-        assert m.minimum == 10.0 and m.maximum == 100.0
-        # Quantiles are count-weighted averages of input quantiles.
-        assert m.p50 == pytest.approx(0.9 * heavy.p50 + 0.1 * light.p50)
-
-    def test_merge_is_order_invariant_on_exact_fields(self):
-        a = Summary.of([1.0, 5.0])
-        b = Summary.of([2.0, 8.0, 11.0])
-        ab, ba = Summary.merge(a, b), Summary.merge(b, a)
-        assert ab.count == ba.count
-        assert ab.mean == pytest.approx(ba.mean)
-        assert ab.minimum == ba.minimum and ab.maximum == ba.maximum
 
 
 class TestReservoirEdges:

@@ -1,44 +1,10 @@
-"""Streaming statistics: Summary.merge, Reservoir, zero-actual guards."""
+"""Streaming statistics: Reservoir, zero-actual guards."""
 
 import numpy as np
 import pytest
 
-from repro.hw import ErrorReport, Reservoir, Summary
+from repro.hw import ErrorReport, Reservoir
 from repro.hw.stats import relative_error, relative_errors
-
-
-class TestSummaryMerge:
-    def test_exact_fields_match_whole_sample(self):
-        rng = np.random.default_rng(11)
-        values = rng.exponential(100.0, size=1000)
-        whole = Summary.of(values)
-        parts = [Summary.of(chunk) for chunk in np.array_split(values, 7)]
-        merged = Summary.merge(*parts)
-        assert merged.count == whole.count
-        assert merged.mean == pytest.approx(whole.mean)
-        assert merged.minimum == whole.minimum
-        assert merged.maximum == whole.maximum
-
-    def test_quantiles_exact_for_identical_windows(self):
-        window = Summary.of([1.0, 2.0, 3.0, 4.0])
-        merged = Summary.merge(window, window, window)
-        assert merged.p50 == window.p50
-        assert merged.p95 == window.p95
-
-    def test_quantiles_are_count_weighted(self):
-        # 99 samples at p50=1.0 vs 1 sample at p50=101 → weighted close to 1.
-        big = Summary.of([1.0] * 99)
-        outlier = Summary.of([101.0])
-        merged = Summary.merge(big, outlier)
-        assert merged.p50 == pytest.approx(2.0)
-
-    def test_merge_rejects_empty(self):
-        with pytest.raises(ValueError):
-            Summary.merge()
-
-    def test_single_summary_is_identity(self):
-        s = Summary.of([5.0, 7.0])
-        assert Summary.merge(s) == s
 
 
 class TestReservoir:

@@ -109,22 +109,25 @@ class TestSubscribe:
 
 class TestObserve:
     def test_exact_mean_via_window_folding(self):
-        obs = DriftObservatory(window=4)
-        errors = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]  # predicted = (1+e) * 100
-        for e in errors:
-            obs.observe("dev", msg(16), 100.0 * (1 + e), 100.0)
+        # 200 errors, more than the 64-slot reservoir keeps, each k/64
+        # (observed 64 cycles, predicted 64 + k), so every partial sum
+        # is exact and the moments can be compared with ==.
+        obs = DriftObservatory(reservoir_capacity=64)
+        steps = [(i * 37) % 101 for i in range(1, 201)]
+        for k in steps:
+            obs.observe("dev", msg(16), 64.0 + k, 64.0)
+        errors = [k / 64 for k in steps]
         summary = obs.error_summary("dev", "small")
-        # Mean/min/max merge exactly across folded windows + live chunk.
-        assert summary.count == 6
-        assert summary.mean == pytest.approx(sum(errors) / 6)
-        assert summary.minimum == pytest.approx(0.1)
-        assert summary.maximum == pytest.approx(0.6)
+        assert summary.count == 200
+        assert summary.mean == sum(errors) / 200
+        assert summary.minimum == min(errors) == 0.0
+        assert summary.maximum == max(errors) == 100 / 64
 
     def test_reservoir_quantiles_track_stream(self):
         obs = DriftObservatory(reservoir_capacity=64)
         for i in range(500):
             obs.observe("dev", msg(16), 110.0, 100.0)
-        quant = obs.error_quantiles("dev", "small")
+        quant = obs.error_summary("dev", "small")
         assert quant.p50 == pytest.approx(0.10)
         assert obs.samples("dev", "small") == 500
 
@@ -168,10 +171,6 @@ class TestObserve:
 
     def test_empty_report(self):
         assert "no samples" in DriftObservatory().report()
-
-    def test_window_validation(self):
-        with pytest.raises(ValueError):
-            DriftObservatory(window=0)
 
 
 class TestObsBundle:

@@ -130,16 +130,27 @@ class TestHistogram:
         assert snap["buckets"] == {"10": 2, "100": 3, "+Inf": 4}
         assert h.mean == pytest.approx(139.0)
 
-    def test_quantile_is_bucket_resolution(self):
-        h = Histogram(buckets=(10.0, 100.0))
-        for v in (1, 2, 3, 50):
+    def test_bounds_close_in_their_sixth_digit_keep_their_own_buckets(self):
+        # ``:g`` renders both bounds as "1e+06"; the second one's label
+        # must not overwrite the first one's count.
+        h = Histogram(buckets=(1_000_000.0, 1_000_001.0))
+        for v in (5, 1_000_000.5, 2e6):
             h.observe(v)
-        assert h.quantile(0.5) == 10.0
-        assert h.quantile(1.0) == 100.0
-        h.observe(1e9)
-        assert h.quantile(1.0) == float("inf")
-        with pytest.raises(ValueError):
-            h.quantile(1.5)
+        assert h.snapshot()["buckets"] == {"1e+06": 1, "1000001.0": 2, "+Inf": 3}
+        reg = MetricsRegistry()
+        reg.histogram("big_cycles", buckets=(1_000_000.0, 1_000_001.0)).observe(5)
+        le_lines = [line for line in reg.render_text().splitlines() if "_bucket" in line]
+        assert le_lines == [
+            'big_cycles_bucket{le="1e+06"} 1',
+            'big_cycles_bucket{le="1000001.0"} 1',
+            'big_cycles_bucket{le="+Inf"} 1',
+        ]
+
+    def test_default_bucket_labels_are_short(self):
+        assert list(Histogram().snapshot()["buckets"]) == [
+            "100", "300", "1000", "3000", "10000", "30000",
+            "100000", "300000", "1e+06", "+Inf",
+        ]
 
     def test_bounds_must_increase(self):
         with pytest.raises(ValueError):

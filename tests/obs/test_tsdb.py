@@ -56,29 +56,6 @@ class TestRecordAndQuery:
         store.record("x", 100.0, 50.0)
         assert store.rate("x") == pytest.approx(0.5)
 
-    def test_quantile_over_time(self):
-        store = TimeSeriesStore()
-        for i in range(1, 11):
-            store.record("q", float(i), float(i))
-        assert store.quantile_over_time("q", 0.0) == 1.0
-        assert store.quantile_over_time("q", 1.0) == 10.0
-        assert store.quantile_over_time("q", 0.5) in (5.0, 6.0)
-        with pytest.raises(ValueError):
-            store.quantile_over_time("q", 1.5)
-
-    def test_downsampled_buckets(self):
-        store = TimeSeriesStore(resolutions=(100.0,))
-        for at, v in ((10.0, 1.0), (20.0, 3.0), (150.0, 10.0)):
-            store.record("d", at, v)
-        buckets = store.downsampled("d", 100.0)
-        assert len(buckets) == 2
-        start, first = buckets[0]
-        assert start == 0.0
-        assert first["count"] == 2 and first["sum"] == 4.0
-        assert first["min"] == 1.0 and first["max"] == 3.0
-        with pytest.raises(ValueError):
-            store.downsampled("d", 777.0)
-
 
 class TestEvents:
     def test_event_log_ordered_filtered_bounded(self):

@@ -1,6 +1,7 @@
 """Tests for the perf-regression sentinel (repro.tools.benchtrack)."""
 
 import json
+import math
 
 import pytest
 
@@ -44,6 +45,18 @@ class TestCompare:
         base = baseline(drops=spec(0.0, tolerance=0.5, direction="max"))
         assert compare(fresh(drops=0.4), base)[0].status == "ok"
         assert compare(fresh(drops=0.6), base)[0].status == "regressed"
+
+    def test_zero_tolerance_gates_exactly(self):
+        # The host-work gate's bands: any move of a counter, however
+        # small, and of a zero counter too, is a regression.
+        base = baseline(calls=spec(14.3, tolerance=0.0), hedges=spec(0.0, tolerance=0.0))
+        assert [f.status for f in compare(fresh(calls=14.3, hedges=0.0), base)] == ["ok", "ok"]
+        for moved in (
+            fresh(calls=15.3, hedges=0.0),
+            fresh(calls=math.nextafter(14.3, 0.0), hedges=0.0),
+            fresh(calls=14.3, hedges=1e-300),
+        ):
+            assert not all(f.ok for f in compare(moved, base))
 
     def test_missing_metric_is_a_failure(self):
         findings = compare(fresh(), baseline(p95=spec(100.0)))
