@@ -110,7 +110,7 @@ def test_open_loop_pool(benchmark, report, tmp_path):
         # Light load survives comfortably; overload may shed hard but
         # never *less* than light load does.
         assert len(light.answered) > 0.5 * light.offered, policy
-        assert heavy.drop_rate >= light.drop_rate, policy
+        assert heavy.loss_rate >= light.loss_rate, policy
 
     # Claim 4: persist the worst storm's Protoacc incident tape and
     # replay it both here and in a fresh interpreter.
@@ -174,7 +174,7 @@ def test_open_loop_pool(benchmark, report, tmp_path):
                 s = res.latency_summary()
                 lines.append(
                     f"{gap:8.0f}  {faults:6}  {policy:20}  "
-                    f"{res.drop_rate * 100:6.1f}  {s.p50:7.0f}  {s.p99:8.0f}  "
+                    f"{res.loss_rate * 100:6.1f}  {s.p50:7.0f}  {s.p99:8.0f}  "
                     f"{res.hedge_count():6d}  {str(tripped(pool)):>16}"
                 )
         lines.append("")
@@ -241,7 +241,7 @@ def test_open_loop_pool(benchmark, report, tmp_path):
             "nofault_ip_p99_light": light_ip.latency_summary().p99,
             "nofault_rr_p99_light": light_rr.latency_summary().p99,
             "storm_ip_p99_heavy": heavy_ip.latency_summary().p99,
-            "storm_ip_drop_rate_heavy": heavy_ip.drop_rate,
+            "storm_ip_drop_rate_heavy": heavy_ip.loss_rate,
             "storm_attributed_requests": len(attrs),
             "storm_attribution_memory_mean": stage_means["memory"],
         },

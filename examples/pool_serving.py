@@ -53,7 +53,7 @@ def main() -> None:
             pool, res = serve(policy, faults)
             s = res.latency_summary()
             loads = "  ".join(f"{k}={v}" for k, v in pool.device_loads().items())
-            print(f"{policy:20s} drop={res.drop_rate:5.1%}  p50={s.p50:6.0f}  "
+            print(f"{policy:20s} drop={res.loss_rate:5.1%}  p50={s.p50:6.0f}  "
                   f"p99={s.p99:8.0f}  hedges={res.hedge_count():2d}  [{loads}]")
 
     print()

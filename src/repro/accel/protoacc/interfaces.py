@@ -21,7 +21,7 @@ from repro.core.interface import LatencyBounds
 from repro.core.nl import EnglishInterface, PerformanceStatement, Relation
 from repro.core.program import ProgramInterface
 
-from .message import FieldKind, Message
+from .message import FieldKind, Message, encoded_sizes
 
 # ----------------------------------------------------------------------
 # Representation 1: English (paper Fig. 1, third entry)
@@ -174,11 +174,10 @@ def tokenize_message(msg: Message):
     the read engine chases them.  ``beats`` is the submessage's own
     encoded contribution (its nested bodies are billed to their own
     tokens)."""
+    sizes = encoded_sizes(msg)
     injections = []
     for part in _flatten(msg):
-        own_encoded = part.encoded_size() - sum(
-            s.encoded_size() for s in part.submessages()
-        )
+        own_encoded = sizes[id(part)] - sum(sizes[id(s)] for s in part.submessages())
         payload = {
             "groups": ceil(part.num_fields / 32),
             "blob": _blob_stream_cost_own(part),

@@ -38,7 +38,7 @@ from repro.hw import Dram, DramConfig
 from repro.hw.noc import BusConfig, SharedBus
 from repro.hw.tlb import Tlb, TlbConfig
 
-from .message import FieldKind, Message
+from .message import FieldKind, Message, encoded_sizes
 
 # Microarchitectural constants.
 MSG_CONTROL_CYCLES = 6     # per-message bookkeeping in the read engine
@@ -142,8 +142,12 @@ class ProtoaccSerializerModel(AcceleratorModel[Message]):
         ops: list[_Op],
         tlb: Tlb | None = None,
         bus: SharedBus | None = None,
+        sizes: dict[int, int] | None = None,
     ) -> float:
-        """Walk one message; appends output ops; returns read-done time."""
+        """Walk one message; appends output ops; returns read-done time.
+        ``sizes``: :func:`~.message.encoded_sizes` of the top message."""
+        if sizes is None:
+            sizes = encoded_sizes(msg)
 
         cross = (lambda at, size: at) if bus is None else bus.request
 
@@ -172,7 +176,7 @@ class ProtoaccSerializerModel(AcceleratorModel[Message]):
         # live wherever the runtime allocated them, so each group fetch
         # is a full-latency (usually row-missing) access.
         n_groups = -(-msg.num_fields // FIELDS_PER_DESCRIPTOR) if msg.num_fields else 0
-        scalar_beats = self._scalar_beats(msg)
+        scalar_beats = self._scalar_beats(msg, sizes)
         for g in range(n_groups):
             addr = rand_addr()
             t = dram.access(addr, cross(translate(addr, t), 64), 64)
@@ -191,19 +195,20 @@ class ProtoaccSerializerModel(AcceleratorModel[Message]):
                 )
                 ops.append(_Op(ready=t, beats=max(1, -(-size // OUT_BYTES_PER_BEAT))))
             elif f.kind is FieldKind.MESSAGE:
-                t = self._read_message(f.value, t, dram, rng, ops, tlb, bus)  # type: ignore[arg-type]
+                t = self._read_message(f.value, t, dram, rng, ops, tlb, bus, sizes)  # type: ignore[arg-type]
         return t
 
     @staticmethod
-    def _scalar_beats(msg: Message) -> int:
+    def _scalar_beats(msg: Message, sizes: dict[int, int]) -> int:
         """Encoded beats contributed by this message's own scalar fields
-        and by the tag/length prefixes of its blob/submessage fields."""
-        own = msg.encoded_size()
+        and by the tag/length prefixes of its blob/submessage fields
+        (``sizes``: :func:`~.message.encoded_sizes` of a message holding it)."""
+        own = sizes[id(msg)]
         for f in msg.fields:
             if f.kind is FieldKind.BYTES:
                 own -= len(f.value)  # type: ignore[arg-type]
             elif f.kind is FieldKind.MESSAGE:
-                own -= f.value.encoded_size()  # type: ignore[union-attr]
+                own -= sizes[id(f.value)]
         return max(0, -(-own // OUT_BYTES_PER_BEAT))
 
     def _drain(self, ops: list[_Op], setup_done: float) -> float:
@@ -240,13 +245,14 @@ class ProtoaccSerializerModel(AcceleratorModel[Message]):
         dram = self._dram()
         tlb = Tlb(self.tlb_config) if self.tlb_config else None
         bus = SharedBus(self.bus_config) if self.bus_config else None
+        sizes = encoded_sizes(item)
         read_t = 0.0
         write_free = 0.0
         ends: list[float] = []
         for copy in range(repeat):
             ops: list[_Op] = []
             rng = self._addr_rng(item, salt=copy)
-            read_t = self._read_message(item, read_t, dram, rng, ops, tlb, bus)
+            read_t = self._read_message(item, read_t, dram, rng, ops, tlb, bus, sizes)
             write_end = self._drain(ops, setup_done=write_free + WRITE_SETUP)
             write_free = write_end
             ends.append(write_end + EPILOGUE)
@@ -270,20 +276,20 @@ class ProtoaccDeserializerModel(AcceleratorModel[Message]):
         self.dram_config = dram_config or DRAM_CONFIG
 
     def _walk(
-        self, msg: Message, t: float, dram: Dram, rng: np.random.Generator
+        self, msg: Message, t: float, dram: Dram, rng: np.random.Generator, sizes: dict[int, int]
     ) -> float:
         t = dram.access(int(rng.integers(0, 1 << 28)) * 64, t, 64)  # allocate
-        scalars = ProtoaccSerializerModel._scalar_beats(msg) * OUT_BYTES_PER_BEAT
+        scalars = ProtoaccSerializerModel._scalar_beats(msg, sizes) * OUT_BYTES_PER_BEAT
         t += scalars / self.PARSE_BYTES_PER_CYCLE
         for f in msg.fields:
             if f.kind is FieldKind.BYTES:
                 size = max(1, len(f.value))  # type: ignore[arg-type]
                 t = dram.stream(int(rng.integers(0, 1 << 28)) * 64, t, size)
             elif f.kind is FieldKind.MESSAGE:
-                t = self._walk(f.value, t, dram, rng)  # type: ignore[arg-type]
+                t = self._walk(f.value, t, dram, rng, sizes)  # type: ignore[arg-type]
         return t
 
     def measure_latency(self, item: Message) -> float:
         dram = Dram(self.dram_config)
         rng = np.random.default_rng(zlib.crc32(item.encode()))
-        return self._walk(item, 0.0, dram, rng) + EPILOGUE
+        return self._walk(item, 0.0, dram, rng, encoded_sizes(item)) + EPILOGUE

@@ -134,10 +134,8 @@ class PetriProfiler(Profiler):
         return self._iface.evaluate_batch(programs)
 
     def fingerprint(self) -> str:
-        """The fingerprint of the net this tier profiles against."""
-        from repro.perf.fingerprint import net_fingerprint
-
-        return net_fingerprint(self._iface.net)
+        """Its interface's :attr:`~repro.core.petrinet.PetriNetInterface.namespace`."""
+        return self._iface.namespace
 
 
 class MemoizedProfiler(Profiler):
@@ -171,22 +169,7 @@ class MemoizedProfiler(Profiler):
     def _profile_batch(self, programs: list[Program]) -> list[float]:
         """Look every candidate up first, then batch only the misses
         through the inner tier — so memoization and batching compose."""
-        namespace = self._namespace
-        out: list[float | None] = [None] * len(programs)
-        misses: list[tuple[int, str | None]] = []
-        for i, program in enumerate(programs):
-            hit = self.cache.get(namespace, program)
-            if hit is self.cache.MISS:
-                misses.append((i, self.cache.last_key))
-            else:
-                out[i] = hit
-        if misses:
-            computed = self.inner._profile_batch([programs[i] for i, _ in misses])
-            for (i, key), value in zip(misses, computed, strict=True):
-                if key is not None:
-                    self.cache.put(namespace, programs[i], value, key=key)
-                out[i] = value
-        return out  # type: ignore[return-value]
+        return self.cache.get_many(self._namespace, programs, self.inner._profile_batch)
 
     def cache_summary(self) -> str:
         """Hit/miss accounting for reports (e.g. the E6 table)."""

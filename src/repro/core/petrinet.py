@@ -12,7 +12,7 @@ metric) or as a programmatic factory.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Generic, NamedTuple, TypeVar
 
@@ -123,9 +123,12 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
     Args:
         accelerator: Name of the accelerator described.
         net_factory: Builds the net (called once; the simulator resets
-            marking between runs).  The net is lowered on first use and
-            the lowering is kept, so build a new interface rather than
-            mutating ``self.net`` after evaluating with it.
+            marking between runs).  First use takes a snapshot of the
+            net, kept for the interface's life: its lowering and, once a
+            cache needs it, its fingerprint (:attr:`namespace`).  So
+            mutate ``self.net`` only before first use.  Not caught: an
+            interface evaluated without a cache, then mutated, then given
+            one keys its old net's answers under the new net's fingerprint.
         tokenize: Maps a workload item to the tokens to inject, as
             ``(place, payload, at)`` tuples or :class:`Injection` objects.
         sink: Place whose completions mark finished work.
@@ -136,8 +139,8 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
             with resident bookkeeping tokens (mutexes, credits) override
             this, since those legitimately remain after quiescence.
         cache: Optional :class:`repro.perf.EvalCache`: each item's
-            makespan is stored under its (net, injections) key, so a
-            repeated item — through :meth:`latency` or
+            makespan is stored under its (:attr:`namespace`, injections)
+            key, so a repeated item — through :meth:`latency` or
             :meth:`evaluate_batch` alike — is answered without running
             the net.  May also be attached later by assigning to
             ``self.cache``.
@@ -173,10 +176,11 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
         self._expected = expected_completions
         self.cache = cache
         self.tracer = tracer
-        # The net's one lowering and the batch engine over it, each
-        # built on first use (None = not built yet).  A warm-cache
-        # process never builds either.
+        # The snapshot first use takes (None = not yet): the lowering and,
+        # once a cache needs it, the fingerprint.  The batch engine is
+        # built at the first miss, so a warm-cache process never builds it.
         self._compiled: CompiledNet | None = None
+        self._namespace: str | None = None
         self._batch: BatchEvaluator | None = None
 
     def _expected_count(self, item: ItemT, injections: Tokens) -> int:
@@ -186,6 +190,18 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
         if self._compiled is None:
             self._compiled = CompiledNet(self.net)
         return self._compiled
+
+    @property
+    def namespace(self) -> str:
+        """The fingerprint that namespaces this interface's cache keys,
+        taken on first read with the lowering, if that is not taken yet,
+        so keys and answers come from one snapshot of the net."""
+        if self._namespace is None:
+            from repro.perf.fingerprint import net_fingerprint
+
+            self._compiled_net()
+            self._namespace = net_fingerprint(self.net)
+        return self._namespace
 
     def _run(self, injections: Tokens, expected: int, tracer) -> SimResult:
         """One per-item simulation on the interface's lowered net,
@@ -228,34 +244,23 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
         """
         injections = self.tokenize(item)
         expected = self._expected_count(item, injections)
-        # tuple() turns an Injection into the plain triple it spells, so
-        # both forms key alike.
-        features = ("stages", expected, list(map(tuple, injections)))
-        per_transition: dict[str, float] | None = None
-        makespan = 0.0
-        key = None
-        if self.cache is not None:
-            hit = self.cache.get(self.net, features)
-            if hit is not self.cache.MISS:
-                makespan, pairs = hit
-                per_transition = {str(n): float(c) for n, c in pairs}
-            key = self.cache.last_key
-        if per_transition is None:
+
+        def harvest() -> list:
             # The harvest needs its own simulation: latency() may be
             # answered from the makespan cache without running the net,
             # and a cache hit leaves busy_time stale.  run() resets the
             # net first, so post-run busy_time IS this run's harvest.
             makespan = self._run(injections, expected, None).makespan()
-            per_transition = {
-                n: t.busy_time for n, t in self.net.transitions.items()
-            }
-            if key is not None:
-                self.cache.put(
-                    self.net,
-                    features,
-                    [makespan, [[n, c] for n, c in per_transition.items()]],
-                    key=key,
-                )
+            return [makespan, [[n, t.busy_time] for n, t in self.net.transitions.items()]]
+
+        if self.cache is None:
+            makespan, pairs = harvest()
+        else:
+            # tuple() turns an Injection into the plain triple it spells,
+            # so both forms key alike.
+            features = ("stages", expected, list(map(tuple, injections)))
+            makespan, pairs = self.cache.get_or_compute(self.namespace, features, harvest)
+        per_transition = {str(n): float(c) for n, c in pairs}
         total = makespan + self.epilogue
         if stage_map is None:
             classify: Callable[[str], str] = default_stage_map
@@ -296,44 +301,40 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
         (:meth:`latency` is a batch of one).
 
         With a cache attached, each item's makespan is looked up under a
-        ``("makespan", ...)`` feature key whose values are plain floats,
-        so they spill to a persistent tier and a warm process answers
-        the whole batch with zero engine invocations.  The misses run in
-        one pass of the batch engine over the interface's lowered net —
-        bit-identical per item to the compiled engine (enforced by
-        ``repro.petri.differential``) — and are stored under that key.
-        They run one item at a time instead while an enabled tracer is
-        attached (the batch engines emit no spans, and a trace must
-        show the work done).
+        ``("makespan", ...)`` feature key in :attr:`namespace` whose
+        values are plain floats, so they spill to a persistent tier and
+        a warm process answers the whole batch with zero engine
+        invocations.  The misses run in one pass of the batch engine
+        over the interface's lowered net — bit-identical per item to the
+        compiled engine (enforced by ``repro.petri.differential``) — and
+        are stored (:meth:`repro.perf.EvalCache.get_many`).  They run
+        one item at a time instead while an enabled tracer is attached
+        (the batch engines emit no spans, and a trace must show the work
+        done).
         """
-        cache = self.cache
-        out: list[float | None] = []
-        misses: list[tuple[int, Tokens, int, Any, str | None]] = []
+        runs = self._runs(items)
+        if self.cache is None:
+            makespans = self._makespans(list(runs))
+        else:
+            makespans = self.cache.get_many(
+                self.namespace,
+                (("makespan", n, list(map(tuple, injs))) for injs, n in runs),
+                lambda missed: self._makespans([(tokens, n) for _, n, tokens in missed]),
+            )
+        return [makespan + self.epilogue for makespan in makespans]
+
+    def _runs(self, items: Sequence[ItemT]) -> Iterator[tuple[Tokens, int]]:
+        """Each item's ``(injections, expected)``, tokenized as consumed."""
         for item in items:
             injections = self.tokenize(item)
-            expected = self._expected_count(item, injections)
-            features = key = None
-            if cache is not None:
-                features = ("makespan", expected, list(map(tuple, injections)))
-                hit = cache.get(self.net, features)
-                if hit is not cache.MISS:
-                    out.append(hit + self.epilogue)
-                    continue
-                key = cache.last_key
-            misses.append((len(out), injections, expected, features, key))
-            out.append(None)
-        if misses:
-            makespans = self._makespans([(injs, n) for _, injs, n, _, _ in misses])
-            for (i, _, _, features, key), makespan in zip(misses, makespans, strict=True):
-                if key is not None:
-                    cache.put(self.net, features, makespan, key=key)
-                out[i] = makespan + self.epilogue
-        return out  # type: ignore[return-value]
+            yield injections, self._expected_count(item, injections)
 
     def _makespans(self, runs: list[tuple[Tokens, int]]) -> list[float]:
         """Makespans of ``(injections, expected)`` runs: one batch-engine
         pass, or one simulation per run while an enabled tracer is
         attached."""
+        if not runs:
+            return []
         tracer = self.tracer
         if tracer is not None and getattr(tracer, "enabled", True):
             return [self._run(injs, n, tracer).makespan() for injs, n in runs]

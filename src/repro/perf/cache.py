@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -71,7 +71,9 @@ class EvalCache:
 
     One cache may serve many nets — the net fingerprint namespaces the
     keys.  Pass a string as ``net`` to namespace non-net computations
-    (e.g. ``"profiler:cycle-accurate"``).
+    (e.g. ``"profiler:cycle-accurate"``) or to key under a fingerprint
+    taken once (a Petri-net interface's ``namespace``).
+    :meth:`get_or_compute` and :meth:`get_many` are the memo loop.
 
     Args:
         path: Optional JSONL file enabling the persistent tier.  Existing
@@ -88,8 +90,7 @@ class EvalCache:
         #: The key the latest :meth:`get` computed (``None`` when its
         #: features were uncacheable): a miss hands it to :meth:`put`.
         self.last_key: str | None = None
-        self._m_hits = self._m_misses = self._m_uncacheable = None
-        self._m_spills = self._m_unspillable = None
+        self._mirrors: dict[str, Any] = {}  # stat -> metrics counter
         self.disk: PersistentStore | None = None
         if path is not None:
             self.disk = PersistentStore(path)
@@ -100,15 +101,17 @@ class EvalCache:
         ``eval_cache_{hits,misses,uncacheable,spills,unspillable}_total``
         counters (with ``labels``).  Only lookups *after* binding are
         counted; rebinding moves future counts to the new registry."""
-        self._m_hits = registry.counter("eval_cache_hits_total", **labels)
-        self._m_misses = registry.counter("eval_cache_misses_total", **labels)
-        self._m_uncacheable = registry.counter(
-            "eval_cache_uncacheable_total", **labels
-        )
-        self._m_spills = registry.counter("eval_cache_spills_total", **labels)
-        self._m_unspillable = registry.counter(
-            "eval_cache_unspillable_total", **labels
-        )
+        self._mirrors = {
+            stat: registry.counter(f"eval_cache_{stat}_total", **labels)
+            for stat in ("hits", "misses", "uncacheable", "spills", "unspillable")
+        }
+
+    def _count(self, stat: str) -> None:
+        """One more ``stat`` in :attr:`stats` and in its metric mirror."""
+        setattr(self.stats, stat, getattr(self.stats, stat) + 1)
+        mirror = self._mirrors.get(stat)
+        if mirror is not None:
+            mirror.inc()
 
     def key(self, net: PetriNet | str, features: Any) -> str:
         """Content-addressed key; raises :class:`UncacheableError` when the
@@ -118,8 +121,27 @@ class EvalCache:
             f"{namespace}\n{workload_key(features)}".encode()
         ).hexdigest()
 
+    def _lookup(self, net: PetriNet | str, features: Any) -> tuple[str | None, Any]:
+        """One counted lookup: ``(key, value)``, with ``key`` ``None`` for
+        uncacheable features and ``value`` :data:`MISS` unless a hit."""
+        try:
+            key = self.key(net, features)
+        except UncacheableError:
+            self._count("uncacheable")
+            return None, self.MISS
+        value = self._store.get(key, self.MISS)
+        self._count("misses" if value is self.MISS else "hits")
+        return key, value
+
+    def _save(self, key: str, value: Any) -> None:
+        """Store ``value`` under ``key``, spilling it to the persistent
+        tier when one is configured and the value is JSON-representable."""
+        self._store[key] = value
+        if self.disk is not None:
+            self._count("spills" if self.disk.append(key, value) else "unspillable")
+
     # ------------------------------------------------------------------
-    # Low-level API (the batch evaluation path drives this directly)
+    # Low-level API
     # ------------------------------------------------------------------
     def get(self, net: PetriNet | str, features: Any) -> Any:
         """The cached value, or :data:`EvalCache.MISS`.
@@ -129,24 +151,8 @@ class EvalCache:
         such, set ``last_key`` to ``None`` and report a miss (the caller
         must compute, and must not :meth:`put` the result).
         """
-        try:
-            key = self.key(net, features)
-        except UncacheableError:
-            self.last_key = None
-            self.stats.uncacheable += 1
-            if self._m_uncacheable is not None:
-                self._m_uncacheable.inc()
-            return self.MISS
-        self.last_key = key
-        if key in self._store:
-            self.stats.hits += 1
-            if self._m_hits is not None:
-                self._m_hits.inc()
-            return self._store[key]
-        self.stats.misses += 1
-        if self._m_misses is not None:
-            self._m_misses.inc()
-        return self.MISS
+        self.last_key, value = self._lookup(net, features)
+        return value
 
     def put(
         self, net: PetriNet | str, features: Any, value: Any, *, key: str | None = None
@@ -162,16 +168,7 @@ class EvalCache:
                 key = self.key(net, features)
             except UncacheableError:
                 return
-        self._store[key] = value
-        if self.disk is not None:
-            if self.disk.append(key, value):
-                self.stats.spills += 1
-                if self._m_spills is not None:
-                    self._m_spills.inc()
-            else:
-                self.stats.unspillable += 1
-                if self._m_unspillable is not None:
-                    self._m_unspillable.inc()
+        self._save(key, value)
 
     def reload(self) -> int:
         """Apply entries other processes appended since open/last reload.
@@ -184,7 +181,7 @@ class EvalCache:
         return self.disk.reload_into(self._store)
 
     # ------------------------------------------------------------------
-    # High-level API
+    # High-level API: the memo loop
     # ------------------------------------------------------------------
     def get_or_compute(
         self,
@@ -194,33 +191,38 @@ class EvalCache:
     ) -> Any:
         """Return the cached result for ``(net, features)``, computing and
         storing it on a miss.  Uncacheable features always compute."""
-        try:
-            key = self.key(net, features)
-        except UncacheableError:
-            self.stats.uncacheable += 1
-            if self._m_uncacheable is not None:
-                self._m_uncacheable.inc()
-            return compute()
-        if key in self._store:
-            self.stats.hits += 1
-            if self._m_hits is not None:
-                self._m_hits.inc()
-            return self._store[key]
-        self.stats.misses += 1
-        if self._m_misses is not None:
-            self._m_misses.inc()
-        value = compute()
-        self._store[key] = value
-        if self.disk is not None:
-            if self.disk.append(key, value):
-                self.stats.spills += 1
-                if self._m_spills is not None:
-                    self._m_spills.inc()
-            else:
-                self.stats.unspillable += 1
-                if self._m_unspillable is not None:
-                    self._m_unspillable.inc()
+        key, value = self._lookup(net, features)
+        if value is self.MISS:
+            value = compute()
+            if key is not None:
+                self._save(key, value)
         return value
+
+    def get_many(
+        self,
+        net: PetriNet | str,
+        features: Iterable[Any],
+        compute: Callable[[list[Any]], Sequence[Any]],
+    ) -> list[Any]:
+        """Every item's result, in input order, looked up through
+        :meth:`get` as ``features`` yields it; only misses are kept.
+        ``compute(missed)`` runs once, if any item missed, on their
+        features in input order; each cacheable result is stored through
+        :meth:`put` under the key its lookup derived."""
+        out: list[Any] = []
+        misses: list[tuple[int, str | None, Any]] = []  # (index, key, features)
+        for item in features:
+            value = self.get(net, item)
+            if value is self.MISS:
+                misses.append((len(out), self.last_key, item))
+            out.append(value)
+        if misses:
+            values = compute([item for _, _, item in misses])
+            for (i, key, item), value in zip(misses, values, strict=True):
+                if key is not None:
+                    self.put(net, item, value, key=key)
+                out[i] = value
+        return out
 
     def clear(self) -> None:
         """Drop all in-memory entries (counters are kept; use

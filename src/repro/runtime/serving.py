@@ -141,12 +141,6 @@ class ServeResult(Generic[RequestT]):
             return 0.0
         return self.losses / self.offered
 
-    @property
-    def drop_rate(self) -> float:
-        """Deprecated alias of :attr:`loss_rate` (the historical name
-        conflated queue-full drops with the other loss kinds)."""
-        return self.loss_rate
-
     def latency_summary(self) -> Summary:
         return Summary.of([r.cycles for r in self.answered])
 

@@ -105,7 +105,7 @@ def _report(obs: Obs, pool, result) -> str:
         "",
         f"requests: {result.offered} offered, {len(result.served)} served, "
         f"{len(result.dropped)} dropped, {len(result.shed)} shed "
-        f"(drop rate {result.drop_rate:.1%})",
+        f"(drop rate {result.loss_rate:.1%})",
         f"policy: {snap['policy']}; hedges: {snap['hedges']}; "
         f"invariant violations: {snap['invariant_violations']}",
         "",

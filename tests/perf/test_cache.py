@@ -519,6 +519,72 @@ def test_uncacheable_features_always_compute():
     assert cache.stats.lookups == 0
 
 
+@pytest.fixture
+def public_calls(monkeypatch):
+    """Every call to the public ``EvalCache.get`` and ``EvalCache.put``
+    (wrapped on the class, as perfbench's trace wraps them)."""
+    calls: list[tuple] = []
+    real_get, real_put = EvalCache.get, EvalCache.put
+
+    def get(self, net, features):
+        calls.append(("get", features))
+        return real_get(self, net, features)
+
+    def put(self, net, features, value, *, key=None):
+        calls.append(("put", features, value, key is not None))
+        return real_put(self, net, features, value, key=key)
+
+    monkeypatch.setattr(EvalCache, "get", get)
+    monkeypatch.setattr(EvalCache, "put", put)
+    return calls
+
+
+def test_get_many_and_get_or_compute_memo_loops(public_calls):
+    class Opaque:
+        pass
+
+    cache = EvalCache()
+    cache.put("ns", 2, "two")
+    opaque = Opaque()
+    features = [1, opaque, 2, 3]
+    computed: list[list] = []
+
+    def compute(missed):
+        computed.append(missed)
+        return [f"c{features.index(f)}" for f in missed]
+
+    public_calls.clear()
+    assert cache.get_many("ns", iter(features), compute) == ["c0", "c1", "two", "c3"]
+    assert computed == [[1, opaque, 3]]  # once, with the misses in input order
+    assert public_calls == [
+        ("get", 1),
+        ("get", opaque),
+        ("get", 2),
+        ("get", 3),
+        ("put", 1, "c0", True),  # under the key its lookup derived
+        ("put", 3, "c3", True),
+    ]
+    assert (cache.stats.hits, cache.stats.misses, cache.stats.uncacheable) == (1, 2, 1)
+    assert len(cache) == 3  # the uncacheable item is never stored
+
+    public_calls.clear()
+    assert cache.get_many("ns", features, compute) == ["c0", "c1", "two", "c3"]
+    assert computed[1:] == [[opaque]]  # only the uncacheable item computes again
+    assert [c[0] for c in public_calls] == ["get"] * 4
+    assert (cache.stats.hits, cache.stats.uncacheable) == (4, 2)
+
+    assert cache.get_many("ns", [2, 3], compute) == ["two", "c3"]
+    assert len(computed) == 2  # every item hit: compute is not called
+
+    # The one-item loop shares the lookup and the store, not the public
+    # methods (a wrapper counting lookups would count it twice).
+    public_calls.clear()
+    assert cache.get_or_compute("ns", 4, lambda: "v") == "v"
+    assert cache.get_or_compute("ns", 4, lambda: "w") == "v"
+    assert public_calls == []
+    assert (cache.stats.hits, cache.stats.misses) == (7, 3)
+
+
 def test_mutated_fingerprint_invalidates_entries():
     cache = EvalCache()
     net = parse(PNET)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import repro.perf.cache as cache_module
+import repro.perf.fingerprint as fingerprint_module
 from repro.accel.bitcoin import interfaces as btc
 from repro.accel.bitcoin.workload import MiningJob
 from repro.accel.jpeg import interfaces as jpeg
@@ -105,6 +106,22 @@ def key_spies(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def all_key_spies(key_spies, monkeypatch):
+    """:func:`key_spies`, also recording the net fingerprints taken
+    outside EvalCache: an interface fingerprints its net once, with
+    :func:`repro.perf.fingerprint.net_fingerprint`, and keys under it."""
+    seen = key_spies["net_fingerprint"]
+    real = fingerprint_module.net_fingerprint
+
+    def spy(net):
+        seen.append(real(net))
+        return seen[-1]
+
+    monkeypatch.setattr(fingerprint_module, "net_fingerprint", spy)
+    return key_spies
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cache_keys_are_pinned(name, key_spies):
     factory, item, what = CASES[name]
@@ -118,24 +135,25 @@ def test_cache_keys_are_pinned(name, key_spies):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_a_miss_is_keyed_once(name, key_spies):
+def test_a_miss_is_keyed_once(name, all_key_spies):
     factory, item, what = CASES[name]
     iface = factory()
     iface.cache = EvalCache()
     evaluate(iface, item, what)
-    assert len(key_spies["workload_key"]) == len(key_spies["net_fingerprint"]) == 1
-    evaluate(iface, item, what)  # a hit derives its key once too
-    assert len(key_spies["workload_key"]) == len(key_spies["net_fingerprint"]) == 2
+    assert len(all_key_spies["workload_key"]) == len(all_key_spies["net_fingerprint"]) == 1
+    evaluate(iface, item, what)  # a hit derives its workload key once too
+    assert len(all_key_spies["workload_key"]) == 2
+    assert all_key_spies["net_fingerprint"] == [iface.namespace]  # once per interface
     assert (iface.cache.stats.misses, iface.cache.stats.hits) == (1, 1)
 
 
-def test_a_cold_batch_computes_one_key_per_item(key_spies):
+def test_a_cold_batch_computes_one_key_per_item(all_key_spies):
     images = random_images(seed=41, count=8, min_dim=16, max_dim=48)
     iface = jpeg.petri_interface()
     iface.cache = EvalCache()
     iface.evaluate_batch(images)
-    assert len(key_spies["workload_key"]) == len(images)
-    assert len(key_spies["net_fingerprint"]) == len(images)
+    assert len(all_key_spies["workload_key"]) == len(images)
+    assert all_key_spies["net_fingerprint"] == [iface.namespace]  # once per interface
     assert len(iface.cache) == len(images)
 
 

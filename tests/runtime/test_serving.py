@@ -30,7 +30,7 @@ class TestAccounting:
 
     def test_unloaded_server_serves_everything(self):
         _, res = run_at(50_000.0)
-        assert res.drop_rate == 0.0
+        assert res.loss_rate == 0.0
         assert len(res.answered) == res.offered
         # No queueing at this rate: latency is pure service time.
         assert res.latency_summary().p99 < 10_000.0
@@ -55,7 +55,7 @@ class TestLossLedger:
         # No offered traffic must read as 0% loss, not ZeroDivisionError.
         res = ServeResult(offered=0)
         assert res.loss_rate == 0.0
-        assert res.drop_rate == 0.0
+        assert res.loss_rate == 0.0
         assert res.losses == 0
 
     def test_every_loss_counted_exactly_once(self):
@@ -100,7 +100,7 @@ class TestDropRateMonotonicity:
             _, res = run_at(
                 mean_gap, faults="storm", queue_limit=16, deadline=40_000.0
             )
-            rates.append(res.drop_rate)
+            rates.append(res.loss_rate)
         assert rates == sorted(rates), rates
         assert rates[-1] > 0.0, "overload must actually drop"
 
