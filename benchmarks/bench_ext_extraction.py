@@ -6,7 +6,8 @@ direction for future work."  We implement the measurement-driven
 variant: profile a training workload, fit an interpretable non-negative
 cost formula, and compare the extracted interface against the
 hand-written one on held-out workloads — for all three accelerators
-with data-dependent behaviour.
+with data-dependent behaviour.  Each fit uses its whole training set
+(``holdout_fraction=0.0``): the test sets below are the held-out data.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ def test_extraction_vs_handwritten(benchmark, report):
     # --- JPEG -----------------------------------------------------------
     model = JpegDecoderModel()
     train, test = random_images(1, 120), random_images(2, 80)
-    extracted, fit = extract_program_interface(model, train, jpeg_features)
+    extracted, fit = extract_program_interface(
+        model, train, jpeg_features, holdout_fraction=0.0
+    )
     auto = validate_interface(extracted, model, test, check_throughput=False)
     hand = validate_interface(JPEG_HAND, model, test, check_throughput=False)
     lines += [
@@ -44,7 +47,9 @@ def test_extraction_vs_handwritten(benchmark, report):
     # --- Protoacc ---------------------------------------------------------
     pa = ProtoaccSerializerModel()
     msgs = list(instances(seed=3).values())
-    extracted_pa, fit_pa = extract_program_interface(pa, msgs[:20], protoacc_features)
+    extracted_pa, fit_pa = extract_program_interface(
+        pa, msgs[:20], protoacc_features, holdout_fraction=0.0
+    )
     auto_pa = validate_interface(extracted_pa, pa, msgs[20:], check_throughput=False)
     lines += [
         "Protoacc (12 held-out formats):",
@@ -57,7 +62,9 @@ def test_extraction_vs_handwritten(benchmark, report):
     vta = VtaModel()
     train_p = random_programs(4, 60, max_dim=5)
     test_p = random_programs(5, 25, max_dim=5)
-    extracted_v, fit_v = extract_program_interface(vta, train_p, vta_features)
+    extracted_v, fit_v = extract_program_interface(
+        vta, train_p, vta_features, holdout_fraction=0.0
+    )
     auto_v = validate_interface(extracted_v, vta, test_p, check_throughput=False)
     hand_v = validate_interface(VTA_HAND, vta, test_p, check_throughput=False)
     lines += [

@@ -124,14 +124,23 @@ class ProtoaccSerializerModel(AcceleratorModel[Message]):
         )
 
     # ------------------------------------------------------------------
-    def _addr_rng(self, msg: Message, salt: int = 0) -> np.random.Generator:
-        """Deterministic per-message address layout: heap pointers are
-        effectively random, but the same message must always measure
-        identically.  ``salt`` distinguishes successive heap objects in
-        a streaming run (copy k of a message is a different allocation).
-        """
-        digest = zlib.crc32(msg.encode()) ^ (msg.total_messages << 16)
-        return np.random.default_rng((digest, salt))
+    @staticmethod
+    def _layout(msg: Message) -> tuple[int, dict[int, int]]:
+        """The seed of ``msg``'s address layout and its
+        :func:`~.message.encoded_sizes`, from one encoding.  Heap
+        pointers are effectively random, but the same message must
+        always measure identically."""
+        sizes: dict[int, int] = {}
+        seed = zlib.crc32(msg.encode(sizes)) ^ (msg.total_messages << 16)
+        return seed, sizes
+
+    @staticmethod
+    def _addr_rng(seed: int, salt: int = 0) -> np.random.Generator:
+        """Deterministic per-message address layout from its
+        :meth:`_layout` seed.  ``salt`` distinguishes successive heap
+        objects in a streaming run (copy k of a message is a different
+        allocation)."""
+        return np.random.default_rng((seed, salt))
 
     def _read_message(
         self,
@@ -223,10 +232,11 @@ class ProtoaccSerializerModel(AcceleratorModel[Message]):
     ) -> SerializeTiming:
         dram = dram or self._dram()
         ops: list[_Op] = []
-        rng = self._addr_rng(msg)
+        seed, sizes = self._layout(msg)
+        rng = self._addr_rng(seed)
         tlb = Tlb(self.tlb_config) if self.tlb_config else None
         bus = SharedBus(self.bus_config) if self.bus_config else None
-        read_end = self._read_message(msg, start, dram, rng, ops, tlb, bus)
+        read_end = self._read_message(msg, start, dram, rng, ops, tlb, bus, sizes)
         write_end = self._drain(ops, setup_done=start + WRITE_SETUP)
         return SerializeTiming(read_end=read_end, write_end=write_end, ops=len(ops))
 
@@ -245,13 +255,13 @@ class ProtoaccSerializerModel(AcceleratorModel[Message]):
         dram = self._dram()
         tlb = Tlb(self.tlb_config) if self.tlb_config else None
         bus = SharedBus(self.bus_config) if self.bus_config else None
-        sizes = encoded_sizes(item)
+        seed, sizes = self._layout(item)
         read_t = 0.0
         write_free = 0.0
         ends: list[float] = []
         for copy in range(repeat):
             ops: list[_Op] = []
-            rng = self._addr_rng(item, salt=copy)
+            rng = self._addr_rng(seed, salt=copy)
             read_t = self._read_message(item, read_t, dram, rng, ops, tlb, bus, sizes)
             write_end = self._drain(ops, setup_done=write_free + WRITE_SETUP)
             write_free = write_end
@@ -291,5 +301,6 @@ class ProtoaccDeserializerModel(AcceleratorModel[Message]):
 
     def measure_latency(self, item: Message) -> float:
         dram = Dram(self.dram_config)
-        rng = np.random.default_rng(zlib.crc32(item.encode()))
-        return self._walk(item, 0.0, dram, rng, encoded_sizes(item)) + EPILOGUE
+        sizes: dict[int, int] = {}
+        rng = np.random.default_rng(zlib.crc32(item.encode(sizes)))
+        return self._walk(item, 0.0, dram, rng, sizes) + EPILOGUE

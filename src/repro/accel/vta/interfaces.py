@@ -233,13 +233,16 @@ def _full_pushes(setting: dict) -> tuple[bool, bool]:
 _DISPATCH_KEYS = {
     (module, dma, *pops, *pushes): (
         (True, pops) if dma else (False, pops, pushes),
-        (module, pushes),
+        (module.value, pushes),
     )
-    for module in (m.value for m in Module)
+    for module in Module
     for dma in (False, True)
     for pops in itertools.product((False, True), repeat=2)
     for pushes in itertools.product((False, True), repeat=2)
 }
+_DMA_OPS = (Opcode.LOAD, Opcode.STORE)
+#: The command queue each module's instructions enter.
+_CMD_PLACE = {module: f"cmd_{module.value}" for module in Module}
 
 
 def dispatch_payload(insn: Instruction, idx: int, copy: int = 0) -> dict:
@@ -247,10 +250,11 @@ def dispatch_payload(insn: Instruction, idx: int, copy: int = 0) -> dict:
     transition keys read: ``cmd_key`` selects the command-queue
     transition, ``(True, pops)`` for a DMA instruction and
     ``(False, pops, pushes)`` otherwise; ``port_key`` selects the DMA
-    stream transition, ``(module, pushes)``."""
+    stream transition, ``(module, pushes)``.  Reads the module the
+    instruction derived when it was built."""
     cmd_key, port_key = _DISPATCH_KEYS[
-        insn.module.value,
-        insn.op in (Opcode.LOAD, Opcode.STORE),
+        insn.module,
+        insn.op in _DMA_OPS,
         insn.pop_prev,
         insn.pop_next,
         insn.push_prev,
@@ -281,7 +285,7 @@ def tokenize_program(
     for idx, insn in enumerate(program.instructions):
         injections.append(
             (
-                f"cmd_{insn.module.value}",
+                _CMD_PLACE[insn.module],
                 dispatch_payload(insn, idx, copy),
                 base + (idx + 1) * dispatch,
             )

@@ -22,7 +22,7 @@ thing that makes its performance non-trivial to predict.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 
 class Opcode(enum.Enum):
@@ -55,12 +55,24 @@ class Module(enum.Enum):
     STORE = "store"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Instruction:
     """One VTA instruction.
 
     Only the fields that drive performance are modeled; addresses are
     synthetic tile coordinates resolved by the model's DMA engine.
+
+    ``module``, the engine that executes the instruction (VTA's dispatch
+    rule: input/weight loads run on the load module, stores on the
+    store module, everything else on compute), is derived once when the
+    instruction is built.  It is an attribute, not a field, so equality,
+    hashing and cache keys see only the fields.
+
+    The constructor validates its arguments and fills the instance in
+    one step: a frozen dataclass's generated ``__init__`` pays one
+    ``object.__setattr__`` per field, and a tuned program builds tens of
+    thousands of instructions.  Its parameters are the fields, in field
+    order, with the fields' defaults.
     """
 
     op: Opcode
@@ -83,29 +95,49 @@ class Instruction:
     iterations: int = 1
     use_imm: bool = False
 
-    def __post_init__(self) -> None:
-        if self.op is Opcode.LOAD:
-            if self.buffer is None or self.size <= 0:
+    def __init__(
+        self,
+        op: Opcode,
+        pop_prev: bool = False,
+        pop_next: bool = False,
+        push_prev: bool = False,
+        push_next: bool = False,
+        buffer: Buffer | None = None,
+        size: int = 0,
+        addr: int = 0,
+        uop_count: int = 0,
+        lp0: int = 1,
+        lp1: int = 1,
+        alu_op: AluOp | None = None,
+        vector_len: int = 0,
+        iterations: int = 1,
+        use_imm: bool = False,
+    ) -> None:
+        if op is Opcode.LOAD:
+            if buffer is None or size <= 0:
                 raise ValueError("LOAD needs a buffer and a positive size")
-        elif self.op is Opcode.STORE:
-            if self.size <= 0:
+            module = Module.LOAD if buffer in (Buffer.INP, Buffer.WGT) else Module.COMPUTE
+        elif op is Opcode.STORE:
+            if size <= 0:
                 raise ValueError("STORE needs a positive size")
-        elif self.op is Opcode.GEMM:
-            if self.uop_count <= 0 or self.lp0 <= 0 or self.lp1 <= 0:
-                raise ValueError("GEMM needs positive uop_count/lp0/lp1")
-        elif self.op is Opcode.ALU and (
-            self.alu_op is None or self.vector_len <= 0 or self.iterations <= 0
-        ):
-            raise ValueError("ALU needs an op, vector_len, and iterations")
-
-    @property
-    def module(self) -> Module:
-        """Which engine executes this instruction (VTA's dispatch rule)."""
-        if self.op is Opcode.LOAD and self.buffer in (Buffer.INP, Buffer.WGT):
-            return Module.LOAD
-        if self.op is Opcode.STORE:
-            return Module.STORE
-        return Module.COMPUTE
+            module = Module.STORE
+        else:
+            if op is Opcode.GEMM:
+                if uop_count <= 0 or lp0 <= 0 or lp1 <= 0:
+                    raise ValueError("GEMM needs positive uop_count/lp0/lp1")
+            elif op is Opcode.ALU and (alu_op is None or vector_len <= 0 or iterations <= 0):
+                raise ValueError("ALU needs an op, vector_len, and iterations")
+            module = Module.COMPUTE
+        # The whole instance dict in one step, past the frozen guard.
+        object.__setattr__(self, "__dict__", {
+            "op": op, "pop_prev": pop_prev, "pop_next": pop_next,
+            "push_prev": push_prev, "push_next": push_next,
+            "buffer": buffer, "size": size, "addr": addr,
+            "uop_count": uop_count, "lp0": lp0, "lp1": lp1,
+            "alu_op": alu_op, "vector_len": vector_len,
+            "iterations": iterations, "use_imm": use_imm,
+            "module": module,
+        })
 
     @property
     def gemm_macs(self) -> int:
@@ -139,15 +171,20 @@ class Instruction:
 class Program:
     """An instruction sequence plus bookkeeping helpers.
 
-    ``warm_variant`` optionally carries the steady-state form of the
-    same schedule: identical work, but with the double-buffering pop
-    flags that apply when the pipeline is already primed (used when
-    streaming copies back to back — see ``VtaModel.measure_throughput``).
+    ``warm_pops`` indexes the instructions whose double-buffering pop
+    (``pop_next``) only a cold start leaves unarmed: once an earlier
+    copy has primed the pipeline, they wait for the credits it left
+    behind.  :meth:`streamed` arms them in every copy after the first
+    (see ``VtaModel.measure_throughput``).
+    :func:`~repro.accel.vta.workload.tiled_gemm_program` records them
+    while lowering; a program built any other way has none and streams
+    as plain repeats.  A few indices, not a second program: a cache key
+    over a program encodes one instruction sequence.
     """
 
     instructions: tuple[Instruction, ...]
     name: str = "program"
-    warm_variant: Program | None = field(default=None, compare=False, repr=False)
+    warm_pops: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.instructions:
@@ -176,13 +213,15 @@ class Program:
 
     def streamed(self, copies: int) -> Program:
         """Concatenate ``copies`` back-to-back iterations: the first is
-        this (cold-start) program, the rest use the warm variant when
-        one is attached, so double-buffering credits carry across
-        iterations exactly as a compiler's steady-state loop would."""
+        this (cold-start) program, the rest arm its ``warm_pops``, so
+        double-buffering credits carry across iterations exactly as a
+        compiler's steady-state loop would."""
         if copies < 1:
             raise ValueError("copies must be >= 1")
-        tail = self.warm_variant or self
-        insns = self.instructions + tail.instructions * (copies - 1)
+        tail = list(self.instructions)
+        for k in self.warm_pops:
+            tail[k] = replace(tail[k], pop_next=True)
+        insns = self.instructions + tuple(tail) * (copies - 1)
         return Program(insns, name=f"{self.name}x{copies}")
 
 

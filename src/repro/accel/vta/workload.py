@@ -108,8 +108,10 @@ def tiled_gemm_program(
             tiles (0 = load once up front); exercises compute-side DMA.
         warm_start: Generate the steady-state flag pattern — every
             double-buffering pop is armed because a previous iteration
-            already primed the buffers.  Used as the ``warm_variant``
-            tail when streaming copies back to back.
+            already primed the buffers.  A cold-start program records
+            the pops this arms in ``Program.warm_pops``, and
+            ``Program.streamed`` arms them in every copy after the
+            first, so streaming never lowers the schedule twice.
     """
     if work.m % tiling.tm or work.k % tiling.tk or work.n % tiling.tn:
         raise ValueError("tiling must divide the workload dimensions")
@@ -121,6 +123,7 @@ def tiled_gemm_program(
             Opcode.LOAD, buffer=Buffer.UOP, size=tm * tn * 8, addr=UOP_REGION
         )
     ]
+    warm_pops: list[int] = []
     load_index = 0
     out_index = 0
     inp_addr = INP_REGION
@@ -139,13 +142,16 @@ def tiled_gemm_program(
             for kk in range(ko):
                 # Double buffering: from the third tile on, wait for the
                 # GEMM two tiles back to free the input/weight buffers.
+                armed = warm_start or load_index >= 2
+                if not armed:
+                    warm_pops.append(len(insns))
                 insns.append(
                     Instruction(
                         Opcode.LOAD,
                         buffer=Buffer.INP,
                         size=tm * tk * INP_TILE_BYTES,
                         addr=inp_addr,
-                        pop_next=warm_start or load_index >= 2,
+                        pop_next=armed,
                     )
                 )
                 inp_addr += tm * tk * INP_TILE_BYTES
@@ -159,6 +165,11 @@ def tiled_gemm_program(
                     )
                 )
                 wgt_addr += tk * tn * WGT_TILE_BYTES
+                # Reclaim the acc tile from the store module before
+                # starting a new output tile (2-deep).
+                reclaim = kk == 0 and (warm_start or out_index >= 2)
+                if kk == 0 and not reclaim:
+                    warm_pops.append(len(insns))
                 insns.append(
                     Instruction(
                         Opcode.GEMM,
@@ -167,9 +178,7 @@ def tiled_gemm_program(
                         lp1=BLOCK,
                         pop_prev=True,
                         push_prev=True,
-                        # Reclaim the acc tile from the store module
-                        # before starting a new output tile (2-deep).
-                        pop_next=(kk == 0 and (warm_start or out_index >= 2)),
+                        pop_next=reclaim,
                         push_next=(kk == ko - 1 and not alu_relu),
                     )
                 )
@@ -203,17 +212,7 @@ def tiled_gemm_program(
     # as all instructions done, so nothing needs to wait on it.
     insns.append(Instruction(Opcode.FINISH))
     label = name or f"gemm_{work.m}x{work.k}x{work.n}_t{tm}.{tk}.{tn}"
-    warm = None
-    if not warm_start:
-        warm = tiled_gemm_program(
-            work,
-            tiling,
-            alu_relu=alu_relu,
-            uop_reload_every=uop_reload_every,
-            name=f"{label}_warm",
-            warm_start=True,
-        )
-    return Program(tuple(insns), name=label, warm_variant=warm)
+    return Program(tuple(insns), name=label, warm_pops=tuple(warm_pops))
 
 
 def random_program(

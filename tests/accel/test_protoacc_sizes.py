@@ -11,7 +11,11 @@ from repro.accel.protoacc import Field, FieldKind, Message
 from repro.accel.protoacc.formats import instances
 from repro.accel.protoacc.interfaces import _blob_stream_cost_own, _flatten, tokenize_message
 from repro.accel.protoacc.message import encoded_sizes
-from repro.accel.protoacc.model import OUT_BYTES_PER_BEAT, ProtoaccSerializerModel
+from repro.accel.protoacc.model import (
+    OUT_BYTES_PER_BEAT,
+    ProtoaccDeserializerModel,
+    ProtoaccSerializerModel,
+)
 
 
 def random_message(rng: np.random.Generator, depth: int) -> Message:
@@ -79,3 +83,32 @@ def test_one_walk_sizes_every_part_like_the_encoder():
             beats = ProtoaccSerializerModel._scalar_beats(part, sizes)
             assert beats == scalar_beats_by_encoding(part)
         assert tokenize_message(msg) == tokens_by_encoding(msg)
+
+
+def test_models_encode_a_message_once_per_measurement(monkeypatch):
+    """The address-layout seed and the sizes come from one encoding:
+    the depth-8 format's nine parts make nine ``encode`` calls per
+    measurement, and a streamed measurement encodes once for all its
+    copies (a second encoding for the seed made 18 per latency, and 81
+    for eight streamed copies)."""
+    msg = instances(seed=3)["nested_depth_8"]
+    assert msg.total_messages == 9
+    calls = 0
+    encode = Message.encode
+
+    def counted(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return encode(self, *args, **kwargs)
+
+    monkeypatch.setattr(Message, "encode", counted)
+    counts = []
+    for measure in (
+        ProtoaccSerializerModel().measure_latency,
+        ProtoaccSerializerModel().measure_throughput,  # 8 copies
+        ProtoaccDeserializerModel().measure_latency,
+    ):
+        calls = 0
+        measure(msg)
+        counts.append(calls)
+    assert counts == [9, 9, 9]

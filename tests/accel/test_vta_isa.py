@@ -1,8 +1,13 @@
 """Tests for the VTA ISA, assembler, and workload generator."""
 
+import dataclasses
+import inspect
+import itertools
+
 import pytest
 
 from repro.accel.vta import (
+    AluOp,
     AssemblyError,
     Buffer,
     GemmWorkload,
@@ -20,6 +25,9 @@ from repro.accel.vta import (
     token_balance,
     validate,
 )
+from repro.autotune import Candidate
+from repro.perf.cache import workload_key
+from repro.perf.fingerprint import canonical_bytes
 
 
 def gemm(**kw):
@@ -59,6 +67,83 @@ class TestInstruction:
         text = gemm(pop_prev=True, push_next=True).describe()
         assert "[P--n]" in text
 
+    def test_fields_and_constructor_agree(self):
+        # The field list and its order fix the canonical bytes of every
+        # VTA cache key; the hand-written constructor takes exactly the
+        # fields, in order, with the fields' defaults.
+        names = [
+            "op", "pop_prev", "pop_next", "push_prev", "push_next", "buffer", "size",
+            "addr", "uop_count", "lp0", "lp1", "alu_op", "vector_len", "iterations",
+            "use_imm",
+        ]
+        fields = dataclasses.fields(Instruction)
+        assert [f.name for f in fields] == names
+        params = list(inspect.signature(Instruction).parameters.values())
+        assert [p.name for p in params] == names
+        for f, p in zip(fields, params, strict=True):
+            default = p.empty if f.default is dataclasses.MISSING else f.default
+            assert p.default == default
+
+    def test_frozen(self):
+        insn = gemm()
+        for name in ("size", "pop_next", "module"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(insn, name, 1)
+
+    def test_equality_hash_and_replace(self):
+        a = Instruction(Opcode.LOAD, buffer=Buffer.INP, size=64, addr=128)
+        b = Instruction(Opcode.LOAD, buffer=Buffer.INP, size=64, addr=128)
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert a != dataclasses.replace(a, pop_next=True)
+        moved = dataclasses.replace(a, buffer=Buffer.UOP)
+        assert moved.module is Module.COMPUTE and a.module is Module.LOAD
+        assert moved == Instruction(Opcode.LOAD, buffer=Buffer.UOP, size=64, addr=128)
+
+    @pytest.mark.parametrize(
+        ("valid", "bad", "message"),
+        [
+            (dict(op=Opcode.LOAD, buffer=Buffer.INP, size=64), dict(buffer=None),
+             "LOAD needs a buffer and a positive size"),
+            (dict(op=Opcode.LOAD, buffer=Buffer.UOP, size=64), dict(size=0),
+             "LOAD needs a buffer and a positive size"),
+            (dict(op=Opcode.STORE, size=64), dict(size=-1), "STORE needs a positive size"),
+            (dict(op=Opcode.GEMM, uop_count=1), dict(uop_count=0),
+             "GEMM needs positive uop_count/lp0/lp1"),
+            (dict(op=Opcode.GEMM, uop_count=1), dict(lp0=0),
+             "GEMM needs positive uop_count/lp0/lp1"),
+            (dict(op=Opcode.GEMM, uop_count=1), dict(lp1=-2),
+             "GEMM needs positive uop_count/lp0/lp1"),
+            (dict(op=Opcode.ALU, alu_op=AluOp.ADD, vector_len=8), dict(alu_op=None),
+             "ALU needs an op, vector_len, and iterations"),
+            (dict(op=Opcode.ALU, alu_op=AluOp.ADD, vector_len=8), dict(vector_len=0),
+             "ALU needs an op, vector_len, and iterations"),
+            (dict(op=Opcode.ALU, alu_op=AluOp.ADD, vector_len=8), dict(iterations=0),
+             "ALU needs an op, vector_len, and iterations"),
+        ],
+    )
+    def test_malformed_rejected_directly_and_through_replace(self, valid, bad, message):
+        ok = Instruction(**valid)
+        with pytest.raises(ValueError) as direct:
+            Instruction(**{**valid, **bad})
+        assert str(direct.value) == message
+        with pytest.raises(ValueError) as replaced:
+            dataclasses.replace(ok, **bad)
+        assert str(replaced.value) == message
+
+    def test_module_follows_the_dispatch_rule_for_every_op_and_buffer(self):
+        operands = dict(size=8, uop_count=1, alu_op=AluOp.MAX, vector_len=8)
+        for op, buffer in itertools.product(Opcode, (None, *Buffer)):
+            if op is Opcode.LOAD and buffer is None:
+                continue  # rejected above
+            insn = Instruction(op, buffer=buffer, **operands)
+            if op is Opcode.LOAD and buffer in (Buffer.INP, Buffer.WGT):
+                expected = Module.LOAD
+            elif op is Opcode.STORE:
+                expected = Module.STORE
+            else:
+                expected = Module.COMPUTE
+            assert insn.module is expected, (op, buffer)
+
 
 class TestProgram:
     def test_needs_instructions(self):
@@ -84,11 +169,57 @@ class TestProgram:
             if i.op is Opcode.LOAD and i.buffer is Buffer.INP
         ]
         assert all(i.pop_next for i in warm_loads)
+        # Every copy after the first is the warm-start lowering, for
+        # every legal tiling of every shape up to 4x4x4.
+        for m, k, n in itertools.product(range(1, 5), repeat=3):
+            work = GemmWorkload(m, k, n)
+            for tiling, relu, reload in itertools.product(
+                legal_tilings(work), (False, True), (0, 2)
+            ):
+                lower = dict(alu_relu=relu, uop_reload_every=reload)
+                cold = tiled_gemm_program(work, tiling, **lower)
+                warm = tiled_gemm_program(work, tiling, **lower, warm_start=True)
+                assert cold.streamed(3).instructions == (
+                    cold.instructions + 2 * warm.instructions
+                )
+                assert warm.streamed(3).instructions == 3 * warm.instructions
+
+    def test_assembled_program_streams_as_plain_repeats(self):
+        prog = tiled_gemm_program(GemmWorkload(2, 2, 2), Tiling(1, 1, 1))
+        assembled = from_text(to_text(prog))
+        assert assembled.instructions == prog.instructions
+        assert assembled.streamed(3).instructions == 3 * prog.instructions
+        assert prog.streamed(3).instructions != 3 * prog.instructions
 
     def test_streamed_validates_copies(self):
         prog = tiled_gemm_program(GemmWorkload(1, 1, 1), Tiling(1, 1, 1))
         with pytest.raises(ValueError):
             prog.streamed(0)
+
+
+class TestProgramKey:
+    """A tuning candidate's cache key encodes one instruction sequence."""
+
+    WORK = GemmWorkload(4, 8, 4)
+
+    def test_streaming_leaves_the_key_alone(self):
+        prog = Candidate(Tiling(2, 2, 2)).lower(self.WORK)
+        key = workload_key(prog)
+        prog.streamed(3)
+        assert workload_key(prog) == key
+
+    def test_two_lowerings_of_one_candidate_key_alike(self):
+        for tiling in legal_tilings(self.WORK):
+            a = Candidate(tiling).lower(self.WORK)
+            b = Candidate(tiling).lower(self.WORK)
+            assert a is not b and workload_key(a) == workload_key(b)
+
+    def test_canonical_bytes_hold_one_instruction_tuple(self):
+        prog = Candidate(Tiling(2, 2, 2)).lower(self.WORK)
+        encoded = canonical_bytes(prog)
+        assert encoded.count(b"'Instruction'") == len(prog)
+        assert len(encoded) < 1.01 * len(canonical_bytes(prog.instructions))
+        assert prog.warm_pops  # the warm tail is derivable, not stored
 
 
 class TestWorkload:

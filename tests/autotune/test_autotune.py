@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.accel.vta import GemmWorkload, VtaConfig, legal_tilings, random_programs
+from repro.accel.vta import GemmWorkload, Instruction, VtaConfig, legal_tilings, random_programs
 from repro.accel.vta.interfaces import petri_interface
 from repro.autotune import (
     Candidate,
@@ -147,6 +147,12 @@ class TestCostModel:
             LinearCostModel().fit([], [])
 
 
+#: The four GEMM shapes the tuning work gates lower: 159 candidates.
+TUNE_SHAPES = [
+    GemmWorkload(4, 4, 4), GemmWorkload(4, 8, 4), GemmWorkload(8, 4, 8), GemmWorkload(8, 8, 4)
+]
+
+
 def test_vta_tuning_checks_one_guard_per_firing():
     """Deterministic work gate for head-keyed dispatch: profiling the
     candidates of four tuning shapes evaluates exactly one guard per
@@ -166,9 +172,28 @@ def test_vta_tuning_checks_one_guard_per_firing():
     for t in iface.net.transitions.values():
         t.guard = counted("guard", t.guard)
         t.delay = counted("firing", t.delay)
-    shapes = [GemmWorkload(4, 4, 4), GemmWorkload(4, 8, 4), GemmWorkload(8, 4, 8), GemmWorkload(8, 8, 4)]
-    programs = [Candidate(t).lower(w) for w in shapes for t in legal_tilings(w)]
+    programs = [Candidate(t).lower(w) for w in TUNE_SHAPES for t in legal_tilings(w)]
     assert len(programs) == 159
     iface.evaluate_batch(programs)
     assert calls["firing"] > 0
     assert calls["guard"] == calls["firing"]
+
+
+def test_vta_lowering_builds_each_instruction_once(monkeypatch):
+    """Deterministic work gate for lowering: the 159 candidates of the
+    four tuning shapes build exactly one instruction per instruction of
+    their programs.  Lowering a steady-state copy of every candidate
+    next to it built 31,756 for the same 15,878."""
+    built = 0
+    init = Instruction.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Instruction, "__init__", counted)
+    programs = [Candidate(t).lower(w) for w in TUNE_SHAPES for t in legal_tilings(w)]
+    assert len(programs) == 159
+    assert sum(len(p) for p in programs) == 15_878
+    assert built == 15_878

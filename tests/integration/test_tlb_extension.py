@@ -82,6 +82,6 @@ def test_model_tlb_statistics_visible():
     t = 0.0
     for k, m in enumerate(rng_msgs):
         ops = []
-        rng = model._addr_rng(m, salt=k)
+        rng = model._addr_rng(model._layout(m)[0], salt=k)
         t = model._read_message(m, t, __import__("repro.hw", fromlist=["Dram"]).Dram(), rng, ops, tlb)
     assert 0.0 < tlb.miss_ratio <= 1.0
