@@ -324,6 +324,83 @@ def test_batched_mega_sweep(report, tmp_path):
         assert speedup >= 10.0, f"{name}: batched only {speedup:.1f}x vs compiled"
 
 
+def _vta_tuning_matrix():
+    """The VTA interface and its tokenized workload matrix: the 159
+    candidates of the four GEMM shapes the auto-tuner tests profile."""
+    from repro.accel.vta import interfaces as vta
+    from repro.autotune.tuner import Candidate, GemmWorkload, legal_tilings
+
+    shapes = [GemmWorkload(4, 4, 4), GemmWorkload(4, 8, 4), GemmWorkload(8, 4, 8),
+              GemmWorkload(8, 8, 4)]
+    programs = [Candidate(t).lower(w) for w in shapes for t in legal_tilings(w)]
+    return vta.petri_interface, _tokenize_matrix(vta.petri_interface, programs)
+
+
+def _merge_batched_row(name: str, result: dict, row: str) -> None:
+    """Add (or replace) one net's row in ``BENCH_batched_engine.{txt,json}``,
+    after the rows :func:`test_batched_mega_sweep` writes."""
+    base = Path(__file__).parent / "results" / "BENCH_batched_engine"
+    txt, js = base.with_suffix(".txt"), base.with_suffix(".json")
+    results = json.loads(js.read_text()) if js.exists() else {}
+    results[name] = result
+    js.write_text(json.dumps(results, indent=2) + "\n")
+    lines = txt.read_text().splitlines() if txt.exists() else []
+    lines = [line for line in lines if not line.startswith(f"{name} ")]
+    at = next(
+        (i for i, line in enumerate(lines) if line.startswith(("persistent", "("))),
+        len(lines),
+    )
+    lines.insert(at, row)
+    txt.write_text("\n".join(lines) + "\n")
+
+
+def test_batched_keyed_net():
+    """The columnar engine's gate, on the one shipped net that is not a
+    chain: VTA, every transition keyed and guarded, with callable
+    delays.  Over the 159 tuning candidates (tokenized once) the batch
+    engine is >= 2x faster than a per-item :class:`CompiledSimulator`,
+    with identical makespans.  Interleaved best-of-5 CPU time; the
+    reference engine runs on a 20-item subsample.
+    """
+    make_iface, items = _vta_tuning_matrix()
+    n = len(items)
+    assert n == 159
+    ref_sub = 20
+    ref_ns = _time_reference_per_item(make_iface, items[:ref_sub])
+    iface = make_iface()
+    evaluator = BatchEvaluator(iface.net, [iface.sink])
+    cmp_ns = bat_ns = float("inf")
+    want: list[float] = []
+    got: list[float] = []
+    for _ in range(5):
+        ns, want = _time_per_item_compiled(make_iface, items)
+        cmp_ns = min(cmp_ns, ns)
+        t0 = time.process_time_ns()
+        got = evaluator.evaluate_makespans(items)
+        bat_ns = min(bat_ns, time.process_time_ns() - t0)
+    assert got == want, "vta: batched diverged from compiled"  # bit-identical
+    assert evaluator.engine == "columnar"
+    speedup = cmp_ns / bat_ns
+    _merge_batched_row(
+        "vta",
+        {
+            "points": n,
+            "tokens_per_item": sum(len(i) for i in items) / n,
+            "engine": evaluator.engine,
+            "items_per_sec": {
+                "reference": ref_sub * 1e9 / ref_ns,
+                "compiled": n * 1e9 / cmp_ns,
+                "batched": n * 1e9 / bat_ns,
+            },
+            "speedup_batched_vs_compiled": speedup,
+            "reference_subsample": ref_sub,
+        },
+        f"{'vta':14s} {n:6d} {ref_sub * 1e9 / ref_ns:10.0f} {n * 1e9 / cmp_ns:10.0f} "
+        f"{n * 1e9 / bat_ns:12.0f} {speedup:7.1f}x {evaluator.engine:>8s}",
+    )
+    assert speedup >= 2.0, f"vta: batched only {speedup:.2f}x vs compiled"
+
+
 def _time_traced(build, tracer) -> int:
     """Best-effort CPU ns for one compiled run with the given tracer."""
     net, sinks, load = build()

@@ -20,6 +20,7 @@ is preserved — see EXPERIMENTS.md.
 
 from __future__ import annotations
 
+import ast
 import inspect
 
 from conftest import scale
@@ -54,6 +55,19 @@ def jpeg_row():
     return petri, program, complexity
 
 
+def _table_sources(module, names) -> list[str]:
+    """The source of each module-level assignment to one of ``names``."""
+    source = inspect.getsource(module)
+    segments = {
+        target.id: ast.get_source_segment(source, node)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    return [segments[name] for name in names]
+
+
 def vta_row():
     model = VtaModel()
     iface = vta_pkg.petri_interface()
@@ -66,14 +80,27 @@ def vta_row():
     tput = validate_interface(
         iface, model, tput_progs, check_latency=False, throughput_repeat=6, cache=cache
     )
-    # The shipped artifact: the net builder plus its delay formulas.
+    # The shipped artifact: the net builder, its delay formulas, and
+    # every definition they read: the dispatch keys each guard and
+    # transition key compares, and the queue wiring tables.
     artifact = "\n".join(
-        inspect.getsource(fn)
-        for fn in (
-            vta_pkg.build_vta_net,
-            vta_pkg.tokenize_program,
-            vta_pkg.service_cycles,
-            vta_pkg.stream_estimate,
+        [
+            inspect.getsource(fn)
+            for fn in (
+                vta_pkg.build_vta_net,
+                vta_pkg.tokenize_program,
+                vta_pkg.service_cycles,
+                vta_pkg.stream_estimate,
+                vta_pkg.interfaces.dispatch_payload,
+                vta_pkg.interfaces._head_insn,
+                vta_pkg.interfaces._full_pops,
+                vta_pkg.interfaces._full_pushes,
+            )
+        ]
+        + _table_sources(
+            vta_pkg.interfaces,
+            ("_MODULE_FLAGS", "_POP_QUEUE", "_PUSH_QUEUE", "_DISPATCH_KEYS", "_DMA_OPS",
+             "_CMD_PLACE"),
         )
     )
     complexity = interface_complexity(

@@ -54,6 +54,11 @@ class Module(enum.Enum):
     COMPUTE = "compute"
     STORE = "store"
 
+    # Members are singletons compared by identity, so they hash by
+    # identity too: in C, where ``Enum.__hash__`` runs Python code.  The
+    # tokenizer and the model key dicts on a module once per instruction.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True, init=False)
 class Instruction:

@@ -26,10 +26,14 @@ same budget accounting, same error messages, same ``SimResult`` — and
 :mod:`repro.petri.differential` asserts this on every shipped
 accelerator net and on randomized structural nets.
 
-The firing/completion loop itself lives in one place, :class:`EventLoop`,
-built once per ``(CompiledNet, sinks)``: :class:`CompiledSimulator` runs
-it and writes the end state back into the net, and the columnar batch
-engine (:mod:`repro.petri.batched`) runs the same loop per workload item.
+The firing/completion loop is :class:`EventLoop`, built once per
+``(CompiledNet, sinks)``: :class:`CompiledSimulator` runs it and writes
+the end state back into the net.  The columnar batch engine
+(:mod:`repro.petri.batched`) runs a leaner loop of its own over the same
+lowering.  Both read the wake masks :class:`CompiledNet` computes
+(:attr:`CompiledNet.t_wake_fire`, :meth:`CompiledNet.wake_done`), which
+decide which transitions each round of an instant re-checks, and so the
+firing order.
 
 Every net runs on this engine — weighted arcs, capacities, guards,
 callable delays, multi-server transitions, priorities, timeout fault
@@ -286,9 +290,31 @@ class CompiledNet:
         ]
         self._loops: dict[tuple[str, ...], EventLoop] = {}
 
+    def check_sinks(self, sinks: Sequence[str]) -> list[bool]:
+        """Per place, whether it is one of ``sinks`` (tokens leave the
+        net there as completions); raises :class:`SimulationError` for a
+        sink that is not a place."""
+        for s in sinks:
+            if s not in self.place_index:
+                raise SimulationError(f"sink {s!r} is not a place of net {self.net.name!r}")
+        return [name in sinks for name in self.place_names]
+
+    def wake_done(self, is_sink: Sequence[bool]) -> list[int]:
+        """Per transition, the transitions its completion can enable:
+        itself (a server frees up), the consumers of every place it
+        deposits into, and, for a sink (where the token leaves the
+        net), its producers, whose reserved slot is freed."""
+        masks = []
+        for ti, outs in enumerate(self.t_out):
+            wake = 1 << ti
+            for p, _ in outs:
+                wake |= self.producers_mask[p] if is_sink[p] else self.consumers_mask[p]
+            masks.append(wake)
+        return masks
+
     def event_loop(self, sinks: Sequence[str]) -> EventLoop:
         """The :class:`EventLoop` for ``sinks``, built on first request
-        and shared by every simulator and batch evaluator of this form."""
+        and shared by every simulator of this form."""
         key = tuple(sinks)
         loop = self._loops.get(key)
         if loop is None:
@@ -470,28 +496,25 @@ class EventLoop:
     Everything the loop reads per net — the wake masks applied at
     completion, the reusable guard/delay argument slots, the sink table,
     the span categories — is built here once; :meth:`run` allocates only
-    the run state.  :class:`CompiledSimulator` and the columnar batch
-    engine both run this loop, so the firing semantics exist once.  Get
-    one through :meth:`CompiledNet.event_loop`.
+    the run state.  :class:`CompiledSimulator` runs this loop; the
+    columnar batch engine's loop implements the same firing rules, and
+    :mod:`repro.petri.differential` compares the two item for item.
+    Get one through :meth:`CompiledNet.event_loop`.
     """
 
     def __init__(self, compiled: CompiledNet, sinks: Sequence[str]):
         c = compiled
-        for s in sinks:
-            if s not in c.place_index:
-                raise SimulationError(f"sink {s!r} is not a place of net {c.net.name!r}")
+        is_sink = c.check_sinks(sinks)
         self.compiled = c
         self.sinks = tuple(sinks)
         #: Per place: its name when it is a sink (tokens leave the net
         #: there as completions), else ``None``.
         self.sink_of: list[str | None] = [
-            name if name in self.sinks else None for name in c.place_names
+            name if sink else None for name, sink in zip(c.place_names, is_sink, strict=True)
         ]
-        # Combined wake mask applied when a single-output transition
-        # completes: its own server frees up, plus either readers of the
-        # deposited place or — for sink places, where the token leaves
-        # the net — writers whose capacity was freed.
-        self.wake_done: list[int] = []
+        # Wake mask applied when a transition completes (shared with
+        # the columnar batch engine, see CompiledNet.wake_done).
+        self.wake_done = c.wake_done(is_sink)
         # Reusable ``consumed`` argument per fast transition with a
         # guard or delay callable (fresh-dict cost avoided; callables
         # must not retain or mutate their argument — same contract the
@@ -499,17 +522,6 @@ class EventLoop:
         self.guard_slots: list[list[Token | None] | None] = []
         self.guard_dicts: list[dict[str, list[Token | None]] | None] = []
         for ti in range(len(c.t_names)):
-            ow = c.t_outw[ti]
-            if ow is None:
-                self.wake_done.append(1 << ti)
-            else:
-                p, _ = ow
-                base = (
-                    c.producers_mask[p]
-                    if self.sink_of[p] is not None
-                    else c.consumers_mask[p]
-                )
-                self.wake_done.append(base | (1 << ti))
             fast = c.t_fast[ti]
             if fast is not None and fast[1] == 1 and (
                 fast[5] is not None or fast[6] is not None
@@ -598,29 +610,18 @@ class EventLoop:
             )
         inj_i, inj_n = 0, len(inj)
 
-        def deposit(p: int, token: Token, from_reservation: bool) -> None:
+        def deposit(p: int, token: Token) -> None:
+            """A fault token enters ``p`` without a prior reservation."""
             nonlocal dirty
             comps = comp_of[p]
             if comps is not None:
-                if from_reservation:
-                    reserved[p] -= 1
-                    # A sink deposit releases reserved capacity: writers
-                    # of this place may become enabled again.
-                    dirty |= producers_mask[p]
                 comps.append(Completion(time=now, token=token))
                 return
-            if from_reservation:
-                if reserved[p] <= 0:
-                    raise CapacityError(
-                        f"place {place_names[p]!r}: deposit without prior reservation"
-                    )
-                reserved[p] -= 1
-            else:
-                cap = capacity[p]
-                if cap is not None and cap - len(tokens[p]) - reserved[p] < 1:
-                    raise CapacityError(
-                        f"place {place_names[p]!r} is full (capacity {cap})"
-                    )
+            cap = capacity[p]
+            if cap is not None and cap - len(tokens[p]) - reserved[p] < 1:
+                raise CapacityError(
+                    f"place {place_names[p]!r} is full (capacity {cap})"
+                )
             tokens[p].append(token)
             dirty |= consumers_mask[p]
 
@@ -941,19 +942,23 @@ class EventLoop:
                         busy[idx] -= 1
                     else:
                         for p, w in t_out[idx]:
+                            reserved[p] -= w
+                            comps = comp_of[p]
                             for _ in range(w):
                                 child = tok.child()
                                 if child.born is None:
                                     child.born = t0
-                                deposit(p, child, True)
+                                if comps is not None:
+                                    comps.append(Completion(time=now, token=child))
+                                else:
+                                    tokens[p].append(child)
                         busy[idx] -= 1
-                        dirty |= 1 << idx  # a server freed up
+                        dirty |= wake_done[idx]
                 else:  # _FAIL: release reservations, emit one fault token
                     for p, w in t_out[idx]:
                         reserved[p] -= w
                         dirty |= producers_mask[p]
-                    fault = tok.child() if tok is not None else Token()
-                    deposit(t_timeout_place[idx], fault, False)
+                    deposit(t_timeout_place[idx], tok.child())
                     busy[idx] -= 1
                     dirty |= 1 << idx
             fire_all()

@@ -14,9 +14,9 @@ item*: evaluating a matrix of workloads must give, for every item, exactly
 what a tracing-disabled :class:`CompiledSimulator` gives when run on that
 item in isolation.  :func:`compare_batch_engines` asserts it for both batch
 engines: the chain-recurrence codegen where the net supports it, and
-always the columnar engine — the compiled engine's own event loop, so
-there its check covers the per-item setup (token order, sink reduction)
-rather than a second copy of the firing rules.
+always the columnar engine — a second implementation of the firing
+rules, so this comparison (results and errors, item for item, in every
+item form) is what keeps it in step with the compiled engine.
 
 Case families:
 
@@ -32,7 +32,7 @@ Case families:
   every branch of the compiled engine's group check.
 * :func:`batch_cases` — batched-vs-compiled matrices over every
   accelerator net, seeded random chains (codegen coverage), the random
-  structural nets above (columnar coverage), and hand-picked edge items
+  structural and keyed nets above (columnar coverage), and hand-picked edge items
   (zero/negative callable delays, empty items, mid-chain injections,
   unknown places).  Every matrix runs in each form a tokenizer may
   return (see :func:`item_forms`), and :func:`check_token_payload_routing`
@@ -345,7 +345,20 @@ def _n_delay(place: str, base: float, mod: int) -> Callable[[dict], float]:
 
 
 def keyed_net(seed: int) -> tuple[PetriNet, list[str], Loader]:
-    """Generate one seeded net with two head-keyed groups.
+    """Generate one seeded net with two head-keyed groups; see
+    :func:`keyed_parts`."""
+    net, sinks, injections = keyed_parts(seed)
+
+    def load(sim: Any) -> None:
+        for place, payload, at in injections:
+            sim.inject(place, payload, at=at)
+
+    return net, sinks, load
+
+
+def keyed_parts(seed: int) -> tuple[PetriNet, list[str], BatchItem]:
+    """Generate one seeded net with two head-keyed groups, and its
+    workload as ``(place, payload, at)`` injections.
 
     Group ``qa`` (field ``k``) has members ``a0, a2, ...``; group ``qb``
     (field ``op``) has members ``a1b, a3b, ...``; unkeyed transitions
@@ -418,12 +431,7 @@ def keyed_net(seed: int) -> tuple[PetriNet, list[str], Loader]:
         n += 1
     if rng.random() < 0.2:
         injections.append(("qa", {"k": n_a, "n": -1}, t + 1.0))  # no member
-
-    def load(sim: Any) -> None:
-        for place, payload, at in injections:
-            sim.inject(place, payload, at=at)
-
-    return net, ["out"], load
+    return net, ["out"], injections
 
 
 def keyed_cases(seed: int = 0, count: int = 12) -> list[DiffCase]:
@@ -786,6 +794,23 @@ _UNKNOWN_PLACE_ITEM: BatchItem = [
 ]
 
 
+def keyed_batch_case(seed: int) -> BatchDiffCase:
+    """The :func:`keyed_parts` family, batched: the seed's workload, its
+    first half, and the workload in reverse injection order (which
+    reorders same-instant arrivals), on one evaluator.
+
+    Group dispatch, weight-2 head arcs, multi-server members, the shared
+    ``mx`` mutex and stalled groups all run on the columnar engine."""
+
+    def build() -> tuple[PetriNet, Sequence[str]]:
+        net, sinks, _ = keyed_parts(seed)
+        return net, sinks
+
+    _, _, injections = keyed_parts(seed)
+    items = [injections, injections[: len(injections) // 2], injections[::-1]]
+    return BatchDiffCase(f"keyed-batch[{seed}]", build, items)
+
+
 def edge_batch_cases() -> list[BatchDiffCase]:
     """Hand-picked batch scenarios: codegen bailouts, per-item error
     parity, empty items, mid-chain injections, and unknown places."""
@@ -883,7 +908,7 @@ def edge_batch_cases() -> list[BatchDiffCase]:
 def check_token_payload_routing() -> int:
     """Assert that items whose payloads are already :class:`Token`
     objects (alone, and mixed with plain payloads) match the compiled
-    baseline and run on the event loop even on a codegen chain (the
+    baseline and run on the columnar loop even on a codegen chain (the
     recurrence reads plain payloads only), in every item form.  The
     engines inject such a token as is, so the case is built fresh here.
     Returns how many items were checked."""
@@ -910,10 +935,12 @@ def check_token_payload_routing() -> int:
 
 def batch_cases() -> list[BatchDiffCase]:
     """Every batched parity case: accelerator matrices, random chains
-    (codegen), random structural nets (columnar), and edge scenarios."""
+    (codegen), random structural and keyed nets (columnar), and edge
+    scenarios."""
     cases = accel_batch_cases() + edge_batch_cases()
     cases += [random_chain_case(k) for k in range(12)]
     cases += [random_structural_batch_case(500 + k) for k in range(8)]
+    cases += [keyed_batch_case(k) for k in range(12)]
     return cases
 
 
@@ -995,13 +1022,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     n_items = sum(len(case.items) for case in bcases)
     n_codegen = sum(1 for engines in bresults.values() if "codegen" in engines)
     n_forms = len(item_forms([]))
+    n_keyed = sum(1 for case in bcases if case.name.startswith("keyed-batch["))
     print(
         f"batched parity OK: {len(bcases)} matrices / {n_items} items vs the "
         f"tracing-disabled compiled baseline, each in {n_forms} item forms "
-        f"({n_codegen} matrices also ran the codegen engine)"
+        f"({n_codegen} matrices also ran the codegen engine; {n_keyed} keyed)"
     )
     n_token = check_token_payload_routing()
-    print(f"token payloads OK: {n_token} items ran on the event loop of a codegen chain")
+    print(f"token payloads OK: {n_token} items ran on the columnar loop of a codegen chain")
     return 0
 
 

@@ -290,3 +290,35 @@ class TestAssembler:
             from_text("frobnicate\n")
         with pytest.raises(AssemblyError, match="no instructions"):
             from_text("# nothing\n")
+
+
+class TestModuleHash:
+    def test_module_hashes_by_identity(self):
+        assert {m: m.value for m in Module}[Module.COMPUTE] == "compute"
+        assert all(hash(m) == object.__hash__(m) for m in Module)
+
+    def test_tokenizing_and_modeling_run_no_python_level_module_hash(self):
+        """The tokenizer keys two dicts on an instruction's module per
+        token, and the model keys its command queues on it per
+        instruction; ``Enum.__hash__`` would run Python code for each."""
+        import sys
+
+        from repro.accel.vta import VtaModel
+        from repro.accel.vta.interfaces import tokenize_program
+
+        program = tiled_gemm_program(GemmWorkload(4, 4, 4), Tiling(2, 2, 2))
+        hashed = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "__hash__":
+                if isinstance(frame.f_locals.get("self"), Module):
+                    hashed.append(frame.f_locals["self"])
+
+        sys.setprofile(profile)
+        try:
+            tokens = tokenize_program(program)
+            VtaModel().run(program)
+        finally:
+            sys.setprofile(None)
+        assert len(tokens) == len(program) + 4
+        assert hashed == []

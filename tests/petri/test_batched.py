@@ -17,17 +17,21 @@ from repro.petri import (
     codegen_supported,
     parse,
 )
+from repro.petri.compiled import EventLoop
 from repro.petri.differential import (
     accel_batch_cases,
     batch_cases,
+    batch_summarize,
     check_token_payload_routing,
     compare_batch_engines,
     edge_batch_cases,
     item_forms,
+    keyed_batch_case,
+    keyed_parts,
     random_chain_case,
     random_structural_batch_case,
 )
-from repro.petri.errors import SimulationError
+from repro.petri.errors import DefinitionError, SimulationError
 
 CHAIN_PNET = """\
 net chain
@@ -246,3 +250,96 @@ def test_batch_case_family_is_reproducible():
     a = [(c.name, c.items) for c in batch_cases()]
     b = [(c.name, c.items) for c in batch_cases()]
     assert a == b
+
+
+@pytest.mark.parametrize("seed", [0, 4, 9])
+def test_keyed_batch_parity(seed):
+    compare_batch_engines(keyed_batch_case(seed))
+
+
+# ----------------------------------------------------------------------
+# The columnar engine's own loop: reuse across items, no event loop
+# ----------------------------------------------------------------------
+
+
+def _digests(evaluator, items):
+    return [batch_summarize(r) for r in evaluator.evaluate(items, collect=True)]
+
+
+def _capped_net():
+    """A columnar-only net whose callable delay goes negative on a zero
+    payload, with a capped middle place, so a raising item leaves tokens
+    queued, slots reserved and completions recorded behind it."""
+    net = PetriNet("capped")
+    net.add_place("in")
+    net.add_place("mid", capacity=2)
+    net.add_place("out")
+    net.add_transition("a", ["in"], ["mid"], delay=1.0, servers=2)
+    net.add_transition(
+        "b", ["mid"], ["out"], delay=lambda c: c["mid"][0].payload - 1.0, servers=1
+    )
+    return net, ["out"]
+
+
+def _keyed_net():
+    net, sinks, _ = keyed_parts(3)
+    return net, sinks
+
+
+@pytest.mark.parametrize(
+    "build, clean, bad, error",
+    [
+        (
+            _capped_net,
+            [
+                [("in", 2.0 + k % 3, 0.25 * k) for k in range(9)],
+                [("in", 5.0, 0.0), ("mid", 3.0, 0.0)],
+            ],
+            [("in", 4.0 + k, 0.5 * k) for k in range(6)] + [("in", 0.0, 3.0)],
+            DefinitionError,
+        ),
+        (
+            _keyed_net,
+            keyed_batch_case(3).items,
+            keyed_parts(3)[2] + [("qa", {"n": 99}, 0.0)],  # no key field "k"
+            SimulationError,
+        ),
+    ],
+    ids=["negative-delay", "missing-key"],
+)
+def test_an_item_that_raised_leaves_the_evaluator_clean(build, clean, bad, error):
+    want = _digests(BatchEvaluator(*build(), engine="columnar"), clean)
+    evaluator = BatchEvaluator(*build(), engine="columnar")
+    with pytest.raises(error):
+        evaluator.evaluate([bad])
+    assert _digests(evaluator, clean) == want
+
+
+@pytest.mark.parametrize(
+    "case",
+    [keyed_batch_case(1), keyed_batch_case(6), random_structural_batch_case(503)],
+    ids=lambda c: c.name,
+)
+def test_matrix_order_does_not_change_item_results(case):
+    forwards = _digests(BatchEvaluator(*case.build(), engine="columnar"), case.items)
+    backwards = _digests(
+        BatchEvaluator(*case.build(), engine="columnar"), case.items[::-1]
+    )
+    assert backwards[::-1] == forwards
+
+
+def test_vta_matrix_never_runs_the_event_loop(monkeypatch):
+    calls = []
+    run = EventLoop.run
+
+    def spy(self, *args, **kwargs):
+        calls.append(1)
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(EventLoop, "run", spy)
+    case = next(c for c in accel_batch_cases() if c.name == "vta")
+    evaluator = BatchEvaluator(*case.build())
+    results = evaluator.evaluate(case.items)
+    assert evaluator.engine == "columnar"
+    assert evaluator.items_columnar == len(case.items) == len(results)
+    assert calls == []
