@@ -25,45 +25,38 @@ net in a single pass.  Two engines, selected per net:
   Python specialized to the net — no event heap, no deques, no Token
   churn — and executed per item.
 
-* **columnar** — every other net: a quiescent loop of its own, built
-  once per evaluator from one plan per transition (its input and output
-  queues by reference, its key-group entry, a reusable guard/delay
-  argument, its servers, delay and wake masks).  Tokens move from place
-  to place instead of being copied, nothing is allocated per hop, and
-  sinks keep completion times only (see :class:`_ColumnarLoop`).  It
-  runs the compiled engine's rounds (the same wake masks, so the same
-  firing order) but re-checks only the transitions a change can enable.
+* **columnar** — every other net: the compiled engine's own
+  :class:`~repro.petri.compiled.PlanLoop`, the one firing loop
+  :class:`CompiledSimulator` runs too, built on first use per
+  ``(CompiledNet, sinks)``.  An item makes one token per injection, runs
+  to quiescence, and is reduced from the sinks' completion times; it
+  skips what only a per-item run reads (``Completion`` objects, the
+  write-back into the net).
 
 Both engines are **bit-identical** to :class:`CompiledSimulator` per
 item — same completion times, fired counts, deadlock flags, and error
 types/messages — and :mod:`repro.petri.differential` asserts it on
 every accelerator net and on seeded random structural and keyed nets,
-item for item: that comparison is what keeps the columnar loop's
-firing rules in step with the event loop's.  Both engines inherit the
-compiled engine's contract that guard/delay callables are pure
-functions of the peeked tokens' payloads, and do not keep or mutate
-their argument.
+item for item.  Both engines inherit the compiled engine's contract
+that guard/delay callables are pure functions of the peeked tokens'
+payloads, and do not keep or mutate their argument.
 
 Batch runs are plain quiescent runs: no ``until``/``max_time``
-watchdogs (per-item deadline control still goes through the per-item
-engines).
+watchdogs and no tracer (per-item deadline control and traces go
+through :class:`CompiledSimulator`).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
-from heapq import heappop, heappush
-from itertools import islice
 from operator import itemgetter
 from typing import Any
 
 from .compiled import CompiledNet
 from .dsl import _SAFE_GLOBALS
-from .errors import CapacityError, DefinitionError, SimulationError
+from .errors import DefinitionError, SimulationError
 from .net import PetriNet
-from .simulate import Simulator
 from .token import Token, _token_ids
 
 #: Batch engine selector values (``auto`` = codegen when the net is a
@@ -415,398 +408,6 @@ class _CodegenRunner:
 
 
 # ----------------------------------------------------------------------
-# Columnar engine: one plan per transition, tokens moved
-# ----------------------------------------------------------------------
-
-
-def _enabling_masks(c: CompiledNet, is_sink: Sequence[bool]) -> tuple[list[int], list[int]]:
-    """Per transition, the part of its fire and completion wake masks
-    that the change can actually enable.
-
-    A firing only frees slots in its input places and changes their
-    heads, so it can enable the producers of a *capped* input place and
-    the guarded sibling consumers; a completion can enable itself, the
-    consumers of the places it deposits into, and the producers of a
-    capped sink.  An unbounded place never blocks a producer.
-    """
-    may_fire = []
-    for ti, ins in enumerate(c.t_in):
-        may = 0
-        for p, _ in ins:
-            if c.capacity[p] is not None:
-                may |= c.producers_mask[p]
-            for other in c.consumers[p]:
-                if other != ti and c.t_guard[other] is not None:
-                    may |= 1 << other
-        may_fire.append(may)
-    may_done = []
-    for ti, outs in enumerate(c.t_out):
-        may = 1 << ti
-        for p, _ in outs:
-            if not is_sink[p]:
-                may |= c.consumers_mask[p]
-            elif c.capacity[p] is not None:
-                may |= c.producers_mask[p]
-        may_done.append(may)
-    return may_fire, may_done
-
-
-class _ColumnarLoop:
-    """The columnar engine: a quiescent firing/completion loop over one
-    precomputed plan per transition.
-
-    A plan holds everything a firing or a completion of its transition
-    reads: direct references to the queues of its input and output
-    places (a sink's is the append of its completion-time list), its
-    key-group entry, one reusable guard/delay argument whose token
-    slots are refilled in place, its server count, its delay, and its
-    fire and completion wake masks.  The queues are reused from item to
-    item: every item starts with them empty and leaves them empty,
-    whether it returns or raises.
-
-    Each wake mask comes twice: the one the per-item
-    :class:`~repro.petri.compiled.EventLoop` applies (it sets which
-    transitions each round of an instant covers, and so the firing
-    order), and its part the change can enable (see
-    :func:`_enabling_masks`).  A round re-checks only the latter, and a
-    firing adds what it may enable to the rest of its round, so the
-    firings and their order are the event loop's while the wake-ups that
-    could only find a transition disabled are skipped.
-
-    Tokens move instead of being copied: an item makes one ``Token``
-    per injection, and a completion appends the first consumed token to
-    each output arc, ``weight`` times, where the event loop deposits a
-    ``child()`` per arc.  A child has the same payload and birth time
-    and nothing here changes a token after its injection, so guards and
-    delays see the same values; only uids differ, and no result reads
-    them.  Sinks keep completion times only.
-    """
-
-    def __init__(self, compiled: CompiledNet, sinks: Sequence[str]):
-        c = compiled
-        is_sink = c.check_sinks(sinks)
-        self.compiled = c
-        self.budget = Simulator.MAX_FIRINGS_PER_INSTANT
-        #: Completion times per sink, in ``sinks`` order.
-        self.times: dict[str, list[float]] = {s: [] for s in sinks}
-        self.queues: list[deque[Token]] = [deque() for _ in c.place_names]
-        queues = self.queues
-        #: Per place: the append of its completion-time list when it is
-        #: a sink, else ``None``.
-        self.stamp_of = [
-            self.times[name].append if sink else None
-            for name, sink in zip(c.place_names, is_sink, strict=True)
-        ]
-        wake_done = c.wake_done(is_sink)
-        may_fire, may_done = _enabling_masks(c, is_sink)
-        self.plans: dict[int, tuple] = {}
-        # One key-group entry per head place; its memo holds the last
-        # head token looked up and the member it selected.
-        groups: dict[int, tuple] = {}
-        for ti in range(len(c.t_names)):
-            ins = tuple((queues[p], w) for p, w in c.t_in[ti])
-            caps = tuple(
-                (p, queues[p], c.capacity[p], w)
-                for p, w in c.t_out[ti]
-                if c.capacity[p] is not None
-            )
-            releases = tuple((p, w) for p, _, _, w in caps)
-            consumed = fill = None
-            if c.t_guard[ti] is not None or c.t_delay_fn[ti] is not None:
-                # One list per input place (a later arc from the same
-                # place replaces an earlier one, as in a fresh dict).
-                slots = {
-                    place: ([None] * w, queues[p], w)
-                    for place, (p, w) in zip(c.t_in_names[ti], c.t_in[ti], strict=True)
-                }
-                consumed = {place: slot for place, (slot, _, _) in slots.items()}
-                fill = tuple(slots.values())
-            done = (
-                ti,
-                tuple(
-                    queues[p].append
-                    for p, w in c.t_out[ti]
-                    if not is_sink[p]
-                    for _ in range(w)
-                ),
-                tuple(
-                    self.stamp_of[p] for p, w in c.t_out[ti] if is_sink[p] for _ in range(w)
-                ),
-                releases,
-                wake_done[ti],
-                may_done[ti],
-            )
-            fail = None
-            after = c.t_timeout_after[ti]
-            if after is not None:
-                p = c.t_timeout_place[ti]
-                wake = may = 1 << ti
-                for q, _ in c.t_out[ti]:
-                    wake |= c.producers_mask[q]
-                    if c.capacity[q] is not None:
-                        may |= c.producers_mask[q]
-                if not is_sink[p]:
-                    wake |= c.consumers_mask[p]
-                    may |= c.consumers_mask[p]
-                fault = (p, queues[p], self.stamp_of[p], c.capacity[p])
-                fail = (ti, None, fault, releases, wake, may)
-            group = c.t_group[ti]
-            if group is not None:
-                head, field, table, not_group = group
-                group = groups.setdefault(
-                    head, (queues[head], field, table, not_group, [None, None])
-                )
-            self.plans[1 << ti] = (
-                ti,
-                group,
-                c.t_servers[ti],
-                ins,
-                caps,
-                fill,
-                consumed,
-                c.t_guard[ti],
-                c.t_delay_fn[ti],
-                c.t_delay_const[ti],
-                after,
-                c.t_wake_fire[ti],
-                may_fire[ti],
-                done,
-                fail,
-            )
-        self.memos = [group[4] for group in groups.values()]
-
-    def run_item(
-        self, injections: Sequence[tuple[str, Any, float]], collect: bool
-    ) -> BatchItemResult:
-        """One item: materialize its tokens in injection order, run to
-        quiescence, and reduce the sinks' completion times."""
-        c = self.compiled
-        place_index = c.place_index
-        new_token = Token.__new__
-        next_uid = _token_ids.__next__
-        inj = []
-        for place, payload, at in injections:
-            if isinstance(payload, Token):
-                token = payload
-            else:
-                token = new_token(Token)
-                token.payload = payload
-                token.born = None
-                token.uid = next_uid()
-            inj.append((at, token.uid, place_index[place], token))
-        # The (at, uid) arrival order CompiledSimulator.run sorts into.
-        inj.sort()
-        times = self.times
-        try:
-            end_time, fire_count = self._run(inj)
-            residual = sum(map(len, self.queues))
-            return BatchItemResult(
-                makespan=max([max(ts) for ts in times.values() if ts], default=0.0),
-                end_time=end_time,
-                counts={sink: len(ts) for sink, ts in times.items()},
-                first_injection=inj[0][0] if inj else None,
-                # Quiescent: nothing pending and no server busy.
-                deadlocked=residual > 0,
-                residual_tokens=residual,
-                completion_times=(
-                    {sink: ts.copy() for sink, ts in times.items()} if collect else None
-                ),
-                fired=dict(zip(c.t_names, fire_count, strict=True)) if collect else None,
-            )
-        finally:
-            for queue in self.queues:
-                queue.clear()
-            for ts in times.values():
-                ts.clear()
-            for memo in self.memos:
-                memo[0] = memo[1] = None
-
-    def _run(self, inj: list[tuple[float, int, int, Token]]) -> tuple[float, list[int]]:
-        """The loop over one item's sorted injections, from the empty
-        marking to quiescence; returns the end time and the per-
-        transition fire counts, and leaves tokens in the queues and
-        completion times in the sink lists."""
-        c = self.compiled
-        plans = self.plans
-        queues, stamp_of = self.queues, self.stamp_of
-        capacity, consumers_mask = c.capacity, c.consumers_mask
-        place_names, t_names = c.place_names, c.t_names
-        budget = self.budget
-        net_name = c.net.name
-        reserved = [0] * len(place_names)
-        busy = [0] * len(t_names)
-        fire_count = [0] * len(t_names)
-        events: list[tuple[float, int, tuple, Token]] = []
-        seq = 0
-        now = 0.0
-        # Two bitmasks over transition indices (bit ti = transition ti):
-        # ``dirty`` is what the reference engine re-checks in the next
-        # round, ``maybe`` the part of it that may be enabled.
-        dirty = maybe = 0
-        if inj and inj[0][0] < now:
-            raise SimulationError(f"event scheduled in the past ({inj[0][0]} < {now})")
-        inj_i, inj_n = 0, len(inj)
-        while True:
-            if events:
-                t = events[0][0]
-                if inj_i < inj_n and inj[inj_i][0] < t:
-                    t = inj[inj_i][0]
-            elif inj_i < inj_n:
-                t = inj[inj_i][0]
-            else:
-                break
-            now = t
-            # Injections apply before completions at the same instant.
-            while inj_i < inj_n and inj[inj_i][0] == t:
-                _, _, p, tok = inj[inj_i]
-                inj_i += 1
-                tok.born = t
-                stamp = stamp_of[p]
-                if stamp is not None:
-                    stamp(t)
-                    continue
-                queue = queues[p]
-                cap = capacity[p]
-                if cap is not None and cap - len(queue) - reserved[p] < 1:
-                    raise CapacityError(f"place {place_names[p]!r} is full (capacity {cap})")
-                queue.append(tok)
-                dirty |= consumers_mask[p]
-                maybe |= consumers_mask[p]
-            while events and events[0][0] == t:
-                _, _, done, tok = heappop(events)
-                ti, appends, stamps, releases, wake, may = done
-                if appends is not None:
-                    for append in appends:
-                        append(tok)
-                    for stamp in stamps:
-                        stamp(t)
-                    for p, w in releases:
-                        reserved[p] -= w
-                else:  # timed out: the consumed token is the fault token
-                    for p, w in releases:
-                        reserved[p] -= w
-                    p, queue, stamp, cap = stamps
-                    if stamp is not None:
-                        stamp(t)
-                    else:
-                        if cap is not None and cap - len(queue) - reserved[p] < 1:
-                            raise CapacityError(
-                                f"place {place_names[p]!r} is full (capacity {cap})"
-                            )
-                        queue.append(tok)
-                busy[ti] -= 1
-                dirty |= wake
-                maybe |= may
-            # Fire everything enabled to a fixpoint, in the reference
-            # engine's rounds: each round re-checks, in ascending index
-            # (the deterministic (priority, name) order), the batch the
-            # previous one woke.  Only its ``scan`` part can be enabled:
-            # the rest would be found disabled unless a firing earlier in
-            # the round enables it, and that firing adds it to ``scan``.
-            fired = 0
-            while maybe:
-                batch = dirty
-                scan = maybe
-                dirty = maybe = 0
-                while scan:
-                    low = scan & -scan
-                    scan -= low
-                    plan = plans[low]
-                    group = plan[1]
-                    if group is not None:
-                        # Head-keyed dispatch (see EventLoop.run): only
-                        # the member the head token selects can fire.
-                        head, field, table, not_group, memo = group
-                        if not head:
-                            scan &= not_group
-                            continue
-                        tok = head[0]
-                        if tok is memo[0]:
-                            hit = memo[1]
-                        else:
-                            try:
-                                hit = table.get(tok.payload[field])
-                            except (KeyError, IndexError, TypeError):
-                                raise SimulationError(
-                                    f"transition {t_names[plan[0]]!r}: head token of "
-                                    f"{place_names[c.t_group[plan[0]][0]]!r} has no "
-                                    f"hashable key field {field!r} (payload "
-                                    f"{tok.payload!r})"
-                                ) from None
-                            memo[0] = tok
-                            memo[1] = hit
-                        if hit is None:
-                            scan &= not_group
-                            continue
-                        if hit[1] != low:
-                            scan &= hit[2] if scan & hit[1] else not_group
-                            continue
-                    (
-                        ti, _, servers, ins, caps, fill, consumed, guard,
-                        delay_fn, delay_c, after, wake, may, done, fail,
-                    ) = plan
-                    before = fired
-                    while servers is None or busy[ti] < servers:
-                        for queue, w in ins:
-                            if len(queue) < w:
-                                break
-                        else:
-                            for p, queue, cap, w in caps:
-                                if cap - len(queue) - reserved[p] < w:
-                                    break
-                            else:
-                                if fill is not None:
-                                    for slot, queue, w in fill:
-                                        if w == 1:
-                                            slot[0] = queue[0]
-                                        else:
-                                            slot[:] = islice(queue, w)
-                                    if guard is not None and not guard(consumed):
-                                        break
-                                first = ins[0][0][0]
-                                for queue, w in ins:
-                                    if w == 1:
-                                        queue.popleft()
-                                    else:
-                                        for _ in range(w):
-                                            queue.popleft()
-                                for p, queue, cap, w in caps:
-                                    reserved[p] += w
-                                dirty |= wake
-                                maybe |= may
-                                scan |= may & batch & -(low << 1)
-                                if delay_fn is None:
-                                    delay = delay_c
-                                else:
-                                    delay = float(delay_fn(consumed))
-                                if delay < 0:
-                                    raise DefinitionError(
-                                        f"transition {t_names[ti]!r} computed a negative delay"
-                                    )
-                                busy[ti] += 1
-                                fire_count[ti] += 1
-                                fired += 1
-                                if fired > budget:
-                                    raise SimulationError(
-                                        f"net {net_name!r}: more than {budget} "
-                                        f"firings at t={now}; likely a zero-delay loop"
-                                    )
-                                if after is not None and delay > after:
-                                    heappush(events, (now + after, seq, fail, first))
-                                else:
-                                    heappush(events, (now + delay, seq, done, first))
-                                seq += 1
-                                continue
-                        break
-                    if group is not None and fired == before:
-                        # The head is unchanged, so every later member
-                        # would find the same selection: skip them.
-                        scan &= not_group
-            dirty = 0
-        return now, fire_count
-
-
-# ----------------------------------------------------------------------
 # Public facade
 # ----------------------------------------------------------------------
 
@@ -846,7 +447,7 @@ class BatchEvaluator:
         self.net = net
         self.sinks = list(sinks)
         self.compiled = compiled if compiled is not None else CompiledNet(net)
-        self._columnar = _ColumnarLoop(self.compiled, self.sinks)
+        self.compiled.check_sinks(self.sinks)
         self._codegen: _CodegenRunner | None = None
         if engine in ("auto", "codegen"):
             spec = chain_spec(net, self.sinks, compiled=self.compiled)
@@ -870,6 +471,7 @@ class BatchEvaluator:
         times and fired counts (the differential harness's observables).
         """
         results = []
+        loop = None  # the columnar loop, fetched at the first item it runs
         codegen = self._codegen
         # The codegen entry is a place, so the scan below may skip its
         # lookup; with no codegen, no place equals the stand-in object.
@@ -894,7 +496,9 @@ class BatchEvaluator:
                     continue
                 except _ZeroDelayBailout:
                     pass  # re-run this item on the columnar loop
-            results.append(self._columnar.run_item(injections, collect))
+            if loop is None:
+                loop = self.compiled.plan_loop(self.sinks)
+            results.append(BatchItemResult(*loop.run_item(injections, collect)))
             self.items_columnar += 1
         return results
 

@@ -8,38 +8,31 @@ interpreter overhead is paid *per token* by every sweep-shaped consumer
 the Petri-net representation exists to avoid.
 
 This module lowers a static :class:`~repro.petri.net.PetriNet` once into
-a flat, integer-indexed form and executes it with a tight loop:
+a flat, integer-indexed form (:class:`CompiledNet`) and runs it on one
+firing/completion loop, :class:`PlanLoop`, built once per
+``(CompiledNet, sinks)`` from one precomputed plan per transition:
 
 * places and transitions become array indices (transition index order
   *is* the deterministic ``(priority, name)`` firing order, so the dirty
-  set is a set of ints and sorting it needs no key function);
-* arc lists are flat ``(place_idx, weight)`` tuples resolved at compile
-  time;
-* events are plain ``(time, seq, kind, transition_idx, token, t0)``
-  tuples on one heap — no per-firing closures, no event dataclass;
-* token payloads stay in the same :class:`~repro.petri.token.Token`
-  objects the reference engine uses, so guards and delay callables are
-  pre-bound once and receive byte-identical inputs.
+  set is an int bitmask and an ascending bit-scan replaces the sort);
+* a plan holds direct references to its transition's input and output
+  queues, its key-group entry, a reusable guard/delay argument, its
+  servers, its delay and its wake masks;
+* events are plain tuples on one heap — no per-firing closures, no event
+  dataclass — and tokens move from place to place instead of being
+  copied.
 
 Semantics are *identical* to the reference engine — same firing order,
 same budget accounting, same error messages, same ``SimResult`` — and
 :mod:`repro.petri.differential` asserts this on every shipped
 accelerator net and on randomized structural nets.
 
-The firing/completion loop is :class:`EventLoop`, built once per
-``(CompiledNet, sinks)``: :class:`CompiledSimulator` runs it and writes
-the end state back into the net.  The columnar batch engine
-(:mod:`repro.petri.batched`) runs a leaner loop of its own over the same
-lowering.  Both read the wake masks :class:`CompiledNet` computes
-(:attr:`CompiledNet.t_wake_fire`, :meth:`CompiledNet.wake_done`), which
-decide which transitions each round of an instant re-checks, and so the
-firing order.
-
-Every net runs on this engine — weighted arcs, capacities, guards,
-callable delays, multi-server transitions, priorities, timeout fault
-arcs — and :func:`make_simulator` is the production entry point.  The
-reference engine is the oracle :mod:`repro.petri.differential` checks
-it against.
+:class:`CompiledSimulator` (per item: tracing, ``until``/``max_time``,
+write-back into the net) and the columnar batch engine
+(:mod:`repro.petri.batched`) both run that one loop, so the firing rules
+exist once.  :func:`make_simulator` is the production per-item entry
+point; the reference engine is the oracle the differential checks
+against.
 """
 
 from __future__ import annotations
@@ -47,7 +40,8 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable, Sequence
 from heapq import heappop, heappush
-from typing import Any, Literal, NamedTuple
+from itertools import islice
+from typing import Any, Literal
 
 from .errors import (
     CapacityError,
@@ -61,12 +55,7 @@ from .net import PetriNet, Transition
 from .simulate import Completion, SimResult, Simulator
 from .token import Token, _token_ids
 
-# Event kinds, ordered only for readability — (time, seq) alone decides
-# heap order because seq is unique.  (Injections never touch the heap:
-# they are all known before the run starts and always sort before
-# engine-generated events at the same instant, so the run loop merges
-# them from a sorted side list.)
-_COMPLETE, _FAIL = 1, 2
+inf = float("inf")
 
 
 def key_groups(net: PetriNet) -> dict[str, list[Transition]]:
@@ -123,8 +112,8 @@ class CompiledNet:
 
     Compile once, simulate many times: the lowering cost is paid per
     *net*, not per run, so sweeps amortize it across thousands of
-    points.  The lowered arrays never mutate — all simulation state
-    lives in the :class:`EventLoop` run that uses them.
+    points.  The lowered arrays never mutate; all simulation state lives
+    in the :class:`PlanLoop` run that uses them.
     """
 
     __slots__ = (
@@ -147,10 +136,6 @@ class CompiledNet:
         "producers",
         "consumers_mask",
         "producers_mask",
-        "t_wake_fire",
-        "t_fast",
-        "t_out1",
-        "t_outw",
         "t_group",
         "_loops",
     )
@@ -185,45 +170,24 @@ class CompiledNet:
             -1 if t.timeout is None else pidx[t.timeout[1]] for t in ordered
         ]
 
+        # Per place, its consumer and producer transitions, as lists and
+        # as int bitmasks (bit ti = transition ti): set-union becomes a
+        # single ``|=``.  The bits are OR-ed, so a transition that lists
+        # a place twice sets its own bit once.
         consumers: list[list[int]] = [[] for _ in self.place_names]
         producers: list[list[int]] = [[] for _ in self.place_names]
+        self.consumers_mask = [0] * len(self.place_names)
+        self.producers_mask = [0] * len(self.place_names)
         for ti, t in enumerate(ordered):
             for a in t.inputs:
                 consumers[pidx[a.place]].append(ti)
+                self.consumers_mask[pidx[a.place]] |= 1 << ti
             for a in t.outputs:
                 producers[pidx[a.place]].append(ti)
+                self.producers_mask[pidx[a.place]] |= 1 << ti
         self.consumers = [tuple(c) for c in consumers]
         self.producers = [tuple(p) for p in producers]
 
-        # Dirty sets are int bitmasks (bit ti = transition ti needs an
-        # enablement re-check): set-union becomes a single ``|=`` and
-        # ascending bit-scan recovers the deterministic index order that
-        # the reference engine gets from sorting.
-        self.consumers_mask = [
-            sum(1 << ti for ti in c) for c in self.consumers
-        ]
-        self.producers_mask = [
-            sum(1 << ti for ti in p) for p in self.producers
-        ]
-
-        # Minimal wake mask for a *firing* of transition ``ti``.  During
-        # a fire_all pass token counts only decrease (deposits happen at
-        # completion events, between passes), so a firing can newly
-        # enable exactly: producers of its input places (capacity
-        # freed), and guarded sibling consumers of those places (the
-        # head token they see changed).  The reference engine wakes all
-        # consumers+producers; the extra members are provably disabled,
-        # so dropping them is unobservable.  (Like the reference engine,
-        # this assumes guards are pure functions of the peeked tokens.)
-        self.t_wake_fire = []
-        for ti, t in enumerate(ordered):
-            wake = 0
-            for a in t.inputs:
-                wake |= self.producers_mask[pidx[a.place]]
-                for cc in self.consumers[pidx[a.place]]:
-                    if cc != ti and self.t_guard[cc] is not None:
-                        wake |= 1 << cc
-            self.t_wake_fire.append(wake)
         # Head-keyed dispatch: per keyed transition, its group's
         # ``(head_place, field, table, not_group)``, where ``table`` maps
         # a key value to ``(member, member_bit, keep)`` — ``keep`` clears
@@ -240,55 +204,7 @@ class CompiledNet:
             group = (pidx[place], members[0].key[1], table, ~group_mask)
             for ti in index:
                 self.t_group[ti] = group
-        # The dominant accelerator idiom — one input arc, one output
-        # arc, no timeout — gets a fully inlined firing loop driven by
-        # one precomputed spec tuple: (in_place, in_weight, out_place,
-        # out_weight, in_name, guard, delay_fn, delay_const, wake,
-        # plain).  ``plain`` flags the tightest tier: weight-1 arcs,
-        # constant delay, no guard — a loop with zero per-firing branch
-        # tests.  Keyed transitions stay on the generic path, which
-        # alone carries the group check.
-        self.t_fast: list[tuple | None] = []
-        for ti, t in enumerate(ordered):
-            fast = (
-                len(t.inputs) == 1
-                and len(t.outputs) == 1
-                and t.timeout is None
-                and t.key is None
-                and (self.t_delay_const[ti] is None or self.t_delay_const[ti] >= 0)
-            )
-            self.t_fast.append(
-                (
-                    self.t_in[ti][0][0],
-                    self.t_in[ti][0][1],
-                    self.t_out[ti][0][0],
-                    self.t_out[ti][0][1],
-                    t.inputs[0].place,
-                    t.guard,
-                    self.t_delay_fn[ti],
-                    self.t_delay_const[ti],
-                    self.t_wake_fire[ti],
-                    t.guard is None
-                    and self.t_delay_fn[ti] is None
-                    and self.t_in[ti][0][1] == 1
-                    and self.t_out[ti][0][1] == 1,
-                )
-                if fast
-                else None
-            )
-        # Completion fast paths: the weight-1 single output place (or
-        # -1), and ``(place, weight)`` of any single output arc.
-        self.t_out1 = [
-            self.t_out[ti][0][0]
-            if len(self.t_out[ti]) == 1 and self.t_out[ti][0][1] == 1
-            else -1
-            for ti in range(len(ordered))
-        ]
-        self.t_outw = [
-            self.t_out[ti][0] if len(self.t_out[ti]) == 1 else None
-            for ti in range(len(ordered))
-        ]
-        self._loops: dict[tuple[str, ...], EventLoop] = {}
+        self._loops: dict[tuple[str, ...], PlanLoop] = {}
 
     def check_sinks(self, sinks: Sequence[str]) -> list[bool]:
         """Per place, whether it is one of ``sinks`` (tokens leave the
@@ -299,26 +215,13 @@ class CompiledNet:
                 raise SimulationError(f"sink {s!r} is not a place of net {self.net.name!r}")
         return [name in sinks for name in self.place_names]
 
-    def wake_done(self, is_sink: Sequence[bool]) -> list[int]:
-        """Per transition, the transitions its completion can enable:
-        itself (a server frees up), the consumers of every place it
-        deposits into, and, for a sink (where the token leaves the
-        net), its producers, whose reserved slot is freed."""
-        masks = []
-        for ti, outs in enumerate(self.t_out):
-            wake = 1 << ti
-            for p, _ in outs:
-                wake |= self.producers_mask[p] if is_sink[p] else self.consumers_mask[p]
-            masks.append(wake)
-        return masks
-
-    def event_loop(self, sinks: Sequence[str]) -> EventLoop:
-        """The :class:`EventLoop` for ``sinks``, built on first request
-        and shared by every simulator of this form."""
+    def plan_loop(self, sinks: Sequence[str]) -> PlanLoop:
+        """The :class:`PlanLoop` for ``sinks``, built on first request
+        and shared by every simulator and batch evaluator of this form."""
         key = tuple(sinks)
         loop = self._loops.get(key)
         if loop is None:
-            loop = self._loops[key] = EventLoop(self, key)
+            loop = self._loops[key] = PlanLoop(self, key)
         return loop
 
 
@@ -333,9 +236,9 @@ class CompiledSimulator:
     ``tracer`` (see :class:`repro.obs.Tracer`) emits the same firing
     spans as the reference engine.  Spans are recorded when completion
     events pop off the heap — the event tuples already carry the fire
-    time — so the inlined firing loops pay nothing, and a run without a
-    tracer pays one predictable branch per event (benchmarked < 3%
-    in ``benchmarks/bench_petri_engine.py``).
+    time — so the firing loop pays nothing, and a run without a tracer
+    pays one predictable branch per event (benchmarked < 3% in
+    ``benchmarks/bench_petri_engine.py``).
     """
 
     MAX_FIRINGS_PER_INSTANT = Simulator.MAX_FIRINGS_PER_INSTANT
@@ -353,28 +256,32 @@ class CompiledSimulator:
         self.net = net
         self.sinks = list(sinks)
         self.compiled = compiled if compiled is not None else CompiledNet(net)
-        self._loop = self.compiled.event_loop(self.sinks)  # validates the sinks
+        self._loop = self.compiled.plan_loop(self.sinks)  # validates the sinks
         self.tracer = (
             tracer if tracer is not None and getattr(tracer, "enabled", True) else None
         )
-        self._pending: list[tuple[float, str, Token]] = []
+        #: The workload as the loop takes it: ``(at, uid, place index,
+        #: token)``; :meth:`run` sorts it into arrival order.
+        self._pending: list[tuple[float, int, int, Token]] = []
 
     # ------------------------------------------------------------------
     # Workload injection (same contract as the reference engine)
     # ------------------------------------------------------------------
     def inject(self, place: str, payload: Any = None, at: float = 0.0) -> Token:
         """Schedule a token carrying ``payload`` to enter ``place`` at ``at``."""
-        if place not in self.net.places:
+        p = self.compiled.place_index.get(place)
+        if p is None:
             raise SimulationError(f"unknown place {place!r}")
         token = payload if isinstance(payload, Token) else Token(payload=payload)
-        self._pending.append((at, place, token))
+        self._pending.append((at, token.uid, p, token))
         return token
 
     def inject_stream(
         self, place: str, payloads: Iterable[Any], *, start: float = 0.0, gap: float = 0.0
     ) -> list[Token]:
         """Inject one token per payload, ``gap`` time units apart."""
-        if place not in self.net.places:
+        p = self.compiled.place_index.get(place)
+        if p is None:
             raise SimulationError(f"unknown place {place!r}")
         tokens = []
         t = start
@@ -389,7 +296,7 @@ class CompiledSimulator:
                 token.payload = payload
                 token.born = None
                 token.uid = next_uid()
-            pending((t, place, token))
+            pending((t, token.uid, p, token))
             tokens.append(token)
             t += gap
         return tokens
@@ -408,447 +315,436 @@ class CompiledSimulator:
         """Execute until quiescence (or ``until``), returning the result.
 
         Mirrors :meth:`Simulator.run` exactly, including the ``max_time``
-        watchdog and deadlock detection.
+        watchdog and deadlock detection.  The end state (marking,
+        reservations, per-transition counters) is written back into the
+        net, as a reference run leaves it; a run that raises leaves the
+        net as it was.
         """
         net = self.net
-        place_index = self.compiled.place_index
-        inj = sorted(
-            (at, tok.uid, place_index[pl], tok) for at, pl, tok in self._pending
-        )
-        self._pending.clear()
-        out = self._loop.run(
+        inj = self._pending
+        inj.sort()
+        self._pending = []
+        result, pending = self._loop.simulate(
             inj,
+            net,
             until=until,
             max_time=max_time,
             tracer=self.tracer,
             budget=self.MAX_FIRINGS_PER_INSTANT,
         )
-        self._write_back(out)
-        if out.deadlocked and on_deadlock == "raise":
+        if result.deadlocked and on_deadlock == "raise":
             raise DeadlockError(
-                f"net {net.name!r} starved with {out.residual_tokens} resident tokens: "
-                f"marking={net.marking()}"
+                f"net {net.name!r} starved with {result.residual_tokens} resident "
+                f"tokens: marking={net.marking()}"
             )
-        result = SimResult(
-            end_time=out.end_time,
-            completions=out.completions,
-            fired={name: net.transitions[name].fire_count for name in net.transitions},
-            deadlocked=out.deadlocked,
-            residual_tokens=out.residual_tokens,
-            deadline_exceeded=out.deadline_exceeded,
-            first_injection=out.first_injection,
-        )
-        if out.deadline_exceeded and on_deadline == "raise":
-            done = sum(len(comp) for comp in out.completions.values())
+        if result.deadline_exceeded and on_deadline == "raise":
+            done = sum(len(comp) for comp in result.completions.values())
             raise DeadlineError(
                 f"net {net.name!r} exceeded max_time={max_time} with "
-                f"{out.pending} events pending ({done} completions so far)",
+                f"{pending} events pending ({done} completions so far)",
                 result=result,
             )
         return result
 
-    def _write_back(self, out: LoopOutcome) -> None:
-        """Mirror final run state into the net's Place/Transition objects.
 
-        Callers introspect ``net.marking()`` and per-transition counters
-        after a run (deadlock reporting, utilization stats); keeping the
-        net in the same end state as a reference run preserves that.
-        """
-        c = self.compiled
-        for i, name in enumerate(c.place_names):
-            place = self.net.places[name]
-            place.tokens = out.tokens[i]
-            place.reserved = out.reserved[i]
-        for i, name in enumerate(c.t_names):
-            t = self.net.transitions[name]
-            t.busy = out.busy[i]
-            t.fire_count = out.fire_count[i]
-            t.busy_time = out.busy_time[i]
+def _repeated_place_plan(
+    names: Sequence[str],
+    arcs: Sequence[tuple[deque[Token], int]],
+    guard: Any,
+    delay_fn: Any,
+) -> tuple[Any, Any, list]:
+    """The guard, delay and lead token of a transition that lists an
+    input place more than once, as the reference engine runs it.
 
-
-class LoopOutcome(NamedTuple):
-    """The end state of one :meth:`EventLoop.run`.
-
-    The sink completions and run flags every caller reads, plus the
-    per-place and per-transition arrays :class:`CompiledSimulator`
-    writes back into the net.
+    The reference takes each arc in turn and keeps, per place, the
+    tokens of its last arc: the delay reads those, and the firing
+    forwards the first of them (the guard still sees the head tokens).
+    The returned guard runs the original one and then copies each
+    place's last take into a reusable view; the delay reads the view;
+    the lead is the view of the first input place.  A place that runs
+    short of its takes leaves its view short, and consuming raises.
     """
+    takes: dict[str, tuple[list, deque[Token], int, int]] = {}
+    taken: dict[str, int] = {}
+    for name, (queue, w) in zip(names, arcs, strict=True):
+        offset = taken.get(name, 0)
+        taken[name] = offset + w
+        takes[name] = ([], queue, offset, w)
+    view = {name: slot for name, (slot, _, _, _) in takes.items()}
+    lead = view[names[0]]
+    steps = tuple(takes.values())
 
-    end_time: float
-    completions: dict[str, list[Completion]]
-    first_injection: float | None
-    deadlocked: bool
-    residual_tokens: int
-    deadline_exceeded: bool
-    #: Events and injections still queued when the run stopped.
-    pending: int
-    tokens: list[deque[Token]]
-    reserved: list[int]
-    busy: list[int]
-    fire_count: list[int]
-    busy_time: list[float]
+    def snapshot(consumed: dict) -> bool:
+        if guard is not None and not guard(consumed):
+            return False
+        for slot, queue, offset, w in steps:
+            slot[:] = islice(queue, offset, offset + w)
+        if not lead:
+            lead.append(None)  # never forwarded: consuming raises first
+        return True
+
+    return snapshot, (None if delay_fn is None else lambda _: delay_fn(view)), lead
 
 
-class EventLoop:
+def _produced_mismatch(name: str, place: str, got: int, want: int):
+    """The completion of a transition that lists an output place twice
+    with different weights: the reference engine produces the last
+    arc's weight for every arc of that place, and raises at the first
+    arc it does not fit."""
+
+    def deposit(_token: Token) -> None:
+        raise SimulationError(
+            f"transition {name!r} produced {got} tokens for {place!r}, expected {want}"
+        )
+
+    return deposit
+
+
+class PlanLoop:
     """The compiled engine's firing/completion loop for one
-    ``(CompiledNet, sinks)`` pair.
+    ``(CompiledNet, sinks)`` pair, over one precomputed plan per
+    transition.
 
-    Everything the loop reads per net — the wake masks applied at
-    completion, the reusable guard/delay argument slots, the sink table,
-    the span categories — is built here once; :meth:`run` allocates only
-    the run state.  :class:`CompiledSimulator` runs this loop; the
-    columnar batch engine's loop implements the same firing rules, and
-    :mod:`repro.petri.differential` compares the two item for item.
-    Get one through :meth:`CompiledNet.event_loop`.
+    A plan holds everything a firing or a completion of its transition
+    reads: direct references to the queues of its input and output
+    places (a sink's are the appends of its completion lists), its
+    key-group entry, one reusable guard/delay argument whose token slots
+    are refilled in place, its server count, its delay, and its fire and
+    completion wake masks.  The first input arc is a field of its own,
+    checked with the server count, so the usual one-input transition
+    runs no loop over its inputs.  A capped place keeps one occupancy
+    count, its tokens plus the slots firings in flight have reserved:
+    the capacity check reads only that count, and a completion that
+    deposits into a place leaves it unchanged.  The queues are reused
+    from run to run: every run starts with them empty and leaves them
+    empty, whether it returns or raises, so a guard or delay must not
+    start a run of the same compiled net.  :meth:`simulate` runs one
+    :class:`CompiledSimulator` run and :meth:`run_item` one batch item;
+    get the loop through :meth:`CompiledNet.plan_loop`.
+
+    Rounds.  Like the reference engine, an instant fires in rounds: each
+    round re-checks, in ascending index (the ``(priority, name)``
+    order), the transitions the previous round woke, and a firing wakes
+    the producers and consumers of its input places for the next round.
+    Each wake mask comes with the part the change can enable: a firing
+    can enable only the producers of a capped input place and the
+    guarded consumers whose head token changed; a completion, itself and
+    the consumers of the places it filled, or the producers of a capped
+    sink.  A round re-checks only that part, and a firing adds what it
+    may enable to the rest of its round, so the firings and their order
+    are the reference engine's while the re-checks that could only find
+    a transition disabled are skipped.
+
+    Tokens move instead of being copied: a completion appends the first
+    consumed token to each output arc, ``weight`` times, where the
+    reference engine deposits a ``child()`` per token.  A child has the
+    same payload and birth time, and nothing here changes a token after
+    its injection, so guards, delays and completions see the same
+    values; only uids differ, and no result reads them.  A timeout's
+    fault token is that same token.
     """
 
     def __init__(self, compiled: CompiledNet, sinks: Sequence[str]):
         c = compiled
         is_sink = c.check_sinks(sinks)
         self.compiled = c
-        self.sinks = tuple(sinks)
-        #: Per place: its name when it is a sink (tokens leave the net
-        #: there as completions), else ``None``.
-        self.sink_of: list[str | None] = [
-            name if sink else None for name, sink in zip(c.place_names, is_sink, strict=True)
+        #: Per sink, in ``sinks`` order: its completion times, and the
+        #: tokens that completed there.
+        self.times: dict[str, list[float]] = {s: [] for s in sinks}
+        self.arrived: dict[str, list[Token]] = {s: [] for s in sinks}
+        self.queues: list[deque[Token]] = [deque() for _ in c.place_names]
+        queues = self.queues
+        #: Per place: the appends of its time and token lists when it is
+        #: a sink, else ``None``.
+        self.sink_of: list[tuple | None] = [
+            (self.times[name].append, self.arrived[name].append) if sink else None
+            for name, sink in zip(c.place_names, is_sink, strict=True)
         ]
-        # Wake mask applied when a transition completes (shared with
-        # the columnar batch engine, see CompiledNet.wake_done).
-        self.wake_done = c.wake_done(is_sink)
-        # Reusable ``consumed`` argument per fast transition with a
-        # guard or delay callable (fresh-dict cost avoided; callables
-        # must not retain or mutate their argument — same contract the
-        # reference engine's documentation imposes).
-        self.guard_slots: list[list[Token | None] | None] = []
-        self.guard_dicts: list[dict[str, list[Token | None]] | None] = []
-        for ti in range(len(c.t_names)):
-            fast = c.t_fast[ti]
-            if fast is not None and fast[1] == 1 and (
-                fast[5] is not None or fast[6] is not None
-            ):
-                slot: list[Token | None] = [None]
-                self.guard_slots.append(slot)
-                self.guard_dicts.append({fast[4]: slot})
-            else:
-                self.guard_slots.append(None)
-                self.guard_dicts.append(None)
-        # Per-transition span categories, so the per-event trace branch
-        # allocates nothing (guard attribution included).
+        #: Per transition, the category of its firing spans.
         self.trace_cat = [
             "petri.guarded" if g is not None else "petri.fire" for g in c.t_guard
         ]
+        capped = [cap is not None for cap in c.capacity]
+        self.plans: dict[int, tuple] = {}
+        # One key-group entry per head place; its memo holds the last
+        # head token looked up and the member it selected.
+        groups: dict[int, tuple] = {}
+        for ti, name in enumerate(c.t_names):
+            (p0, w0), *rest = c.t_in[ti]
+            # The input arcs after the first, and the capped output arcs
+            # with the occupancy above which they cannot take ``w``.
+            ins = tuple((queues[p], w, p) for p, w in rest)
+            caps = tuple((p, c.capacity[p] - w, w) for p, w in c.t_out[ti] if capped[p])
+            guard, delay_fn, delay_c = c.t_guard[ti], c.t_delay_fn[ti], c.t_delay_const[ti]
+            if delay_c is not None and delay_c < 0:
+                # Raised at firing, like a callable's negative delay.
+                delay_fn, delay_c = (lambda _, d=delay_c: d), None
+            repeated = len(set(c.t_in_names[ti])) < len(c.t_in[ti])
+            consumed = fill = None
+            if guard is not None or delay_fn is not None or repeated:
+                # One list per input place (a later arc from the same
+                # place replaces an earlier one, as in a fresh dict).
+                slots = {
+                    place: ([None] * w, queues[p], w)
+                    for place, (p, w) in zip(c.t_in_names[ti], c.t_in[ti], strict=True)
+                }
+                consumed = {place: slot for place, (slot, _, _) in slots.items()}
+                fill = tuple(slots.values())
+            lead: Any = queues[p0]
+            if repeated:
+                guard, delay_fn, lead = _repeated_place_plan(
+                    c.t_in_names[ti], [(queues[p], w) for p, w in c.t_in[ti]], guard, delay_fn
+                )
 
-    def run(
-        self,
-        inj: list[tuple[float, int, int, Token]],
-        *,
-        until: float | None = None,
-        max_time: float | None = None,
-        tracer=None,
-        budget: int = Simulator.MAX_FIRINGS_PER_INSTANT,
-    ) -> LoopOutcome:
-        """Execute one run from an empty marking.
+            # Wake masks: ``wake`` is what the reference engine re-checks
+            # in the next round, ``may`` its part the change can enable.
+            wake = may = 0
+            for p, _ in c.t_in[ti]:
+                wake |= c.producers_mask[p] | c.consumers_mask[p]
+                if capped[p]:
+                    may |= c.producers_mask[p]
+                for other in c.consumers[p]:
+                    if other != ti and c.t_guard[other] is not None:
+                        may |= 1 << other
+            done_wake = done_may = 1 << ti
+            for p, _ in c.t_out[ti]:
+                if not is_sink[p]:
+                    done_wake |= c.consumers_mask[p]
+                    done_may |= c.consumers_mask[p]
+                else:
+                    done_wake |= c.producers_mask[p]
+                    if capped[p]:
+                        done_may |= c.producers_mask[p]
 
-        ``inj`` holds the workload as ``(at, uid, place_idx, token)``
-        tuples sorted ascending — arrival time, then injection order.
-        ``until``/``max_time`` stop the run like :meth:`Simulator.run`'s;
-        ``tracer`` (already known to be enabled) receives one span per
-        completed or timed-out firing; ``budget`` caps firings per
-        instant.
+            produced = {p: w for p, w in c.t_out[ti]}
+            mismatch = next(((p, w) for p, w in c.t_out[ti] if produced[p] != w), None)
+            if mismatch is not None:
+                p, w = mismatch
+                appends: tuple = (
+                    _produced_mismatch(name, c.place_names[p], produced[p], w),
+                )
+            else:
+                appends = tuple(
+                    queues[p].append if not is_sink[p] else self.sink_of[p][1]
+                    for p, w in c.t_out[ti]
+                    for _ in range(w)
+                )
+            stamps = tuple(
+                (self.sink_of[p][0], p) for p, w in c.t_out[ti] if is_sink[p] for _ in range(w)
+            )
+            done = (ti, appends, stamps, done_wake, done_may)
+
+            fail = None
+            after = c.t_timeout_after[ti]
+            if after is not None:
+                p = c.t_timeout_place[ti]
+                fail_wake = fail_may = 1 << ti
+                for q, _ in c.t_out[ti]:
+                    fail_wake |= c.producers_mask[q]
+                    if capped[q]:
+                        fail_may |= c.producers_mask[q]
+                if not is_sink[p]:
+                    fail_wake |= c.consumers_mask[p]
+                    fail_may |= c.consumers_mask[p]
+                releases = tuple((q, w) for q, _, w in caps)
+                fault = (releases, p, queues[p], self.sink_of[p], c.capacity[p])
+                fail = (ti, None, fault, fail_wake, fail_may)
+
+            group = c.t_group[ti]
+            if group is not None:
+                head, field, table, not_group = group
+                group = groups.setdefault(
+                    head, (queues[head], field, table, not_group, [None, None])
+                )
+            self.plans[1 << ti] = (
+                ti,
+                group,
+                inf if c.t_servers[ti] is None else c.t_servers[ti],
+                queues[p0],
+                w0,
+                ins,
+                caps,
+                fill,
+                consumed,
+                guard,
+                # Read only when the transition fires:
+                (p0, lead, delay_fn, delay_c, after, wake, may, may & -(2 << ti), done, fail),
+            )
+        self.memos = [group[4] for group in groups.values()]
+
+    def run_item(
+        self, injections: Sequence[tuple[str, Any, float]], collect: bool
+    ) -> tuple:
+        """One batch item: materialize its tokens in injection order, run
+        to quiescence, and reduce the sinks' completion times.
+
+        Returns the fields of a
+        :class:`~repro.petri.batched.BatchItemResult`, in its order:
+        makespan, end time, per-sink counts, first injection, deadlock
+        flag, residual tokens, and, with ``collect``, the completion
+        times and fired counts (else ``None`` each).
         """
         c = self.compiled
-        n_places = len(c.place_names)
-        n_trans = len(c.t_names)
+        place_index = c.place_index
+        new_token = Token.__new__
+        next_uid = _token_ids.__next__
+        inj = []
+        for place, payload, at in injections:
+            if isinstance(payload, Token):
+                token = payload
+            else:
+                token = new_token(Token)
+                token.payload = payload
+                token.born = None
+                token.uid = next_uid()
+            inj.append((at, token.uid, place_index[place], token))
+        # The (at, uid) arrival order CompiledSimulator.run sorts into.
+        inj.sort()
+        times = self.times
+        try:
+            end_time, _, _, _, _, fire_count, _ = self._run(
+                inj, None, None, None, CompiledSimulator.MAX_FIRINGS_PER_INSTANT
+            )
+            residual = sum(map(len, self.queues))
+            return (
+                max([max(ts) for ts in times.values() if ts], default=0.0),
+                end_time,
+                {sink: len(ts) for sink, ts in times.items()},
+                inj[0][0] if inj else None,
+                residual > 0,  # quiescent: nothing pending and no server busy
+                residual,
+                {sink: ts.copy() for sink, ts in times.items()} if collect else None,
+                dict(zip(c.t_names, fire_count, strict=True)) if collect else None,
+            )
+        finally:
+            self._clear()
 
-        # --- run state: flat arrays, no Place/Transition mutation.
-        tokens: list[deque[Token]] = [deque() for _ in range(n_places)]
-        reserved = [0] * n_places
-        busy = [0] * n_trans
-        fire_count = [0] * n_trans
-        busy_time = [0.0] * n_trans
-        completions: dict[str, list[Completion]] = {s: [] for s in self.sinks}
-        # Per-place completion list (None = not a sink).
-        comp_of: list[list[Completion] | None] = [
-            None if name is None else completions[name] for name in self.sink_of
-        ]
+    def simulate(
+        self,
+        inj: list[tuple[float, int, int, Token]],
+        net: PetriNet,
+        *,
+        until: float | None,
+        max_time: float | None,
+        tracer,
+        budget: int,
+    ) -> tuple[SimResult, int]:
+        """One :class:`CompiledSimulator` run over its sorted injections.
 
-        events: list[tuple[float, int, int, int, Token | None, float]] = []
+        Writes the end marking, reservations and per-transition counters
+        back into ``net`` (nothing when the run raises) and returns the
+        result with the number of events and injections still pending.
+        """
+        c = self.compiled
+        try:
+            end_time, deadline_exceeded, events, inj_left, busy, fire_count, busy_time = (
+                self._run(inj, until, max_time, tracer, budget)
+            )
+            new_comp = Completion.__new__
+            completions: dict[str, list[Completion]] = {}
+            for sink, times in self.times.items():
+                comps = completions[sink] = []
+                for time, token in zip(times, self.arrived[sink], strict=True):
+                    comp = new_comp(Completion)
+                    comp.time = time
+                    comp.token = token
+                    comps.append(comp)
+            # Slots stay reserved for every firing still in flight.
+            reserved = [0] * len(c.place_names)
+            for event in events:
+                for p, w in c.t_out[event[2][0]]:
+                    reserved[p] += w
+            for name, queue, held in zip(c.place_names, self.queues, reserved, strict=True):
+                place = net.places[name]
+                place.tokens = deque(queue)
+                place.reserved = held
+            for i, name in enumerate(c.t_names):
+                t = net.transitions[name]
+                t.busy = busy[i]
+                t.fire_count = fire_count[i]
+                t.busy_time = busy_time[i]
+            residual = sum(map(len, self.queues))
+            pending = len(events) + inj_left
+            result = SimResult(
+                end_time=end_time,
+                completions=completions,
+                fired={name: t.fire_count for name, t in net.transitions.items()},
+                deadlocked=residual > 0 and not any(busy) and not pending,
+                residual_tokens=residual,
+                deadline_exceeded=deadline_exceeded,
+                first_injection=inj[0][0] if inj else None,
+            )
+            return result, pending
+        finally:
+            self._clear()
+
+    def _clear(self) -> None:
+        for queue in self.queues:
+            queue.clear()
+        for ts in self.times.values():
+            ts.clear()
+        for tokens in self.arrived.values():
+            tokens.clear()
+        for memo in self.memos:
+            memo[0] = memo[1] = None
+
+    def _run(
+        self,
+        inj: list[tuple[float, int, int, Token]],
+        until: float | None,
+        max_time: float | None,
+        tracer,
+        budget: int,
+    ) -> tuple:
+        """The loop over one run's sorted ``(at, uid, place, token)``
+        injections, from the empty marking until quiescence or the
+        ``until``/``max_time`` hurdle.
+
+        ``tracer`` (already known to be enabled) receives one span per
+        completed or timed-out firing; ``budget`` caps firings per
+        instant.  Returns the end time, whether ``max_time`` stopped
+        the run, the events still queued, the injections not yet
+        applied, and the per-transition busy servers, fire counts and
+        busy times; tokens stay in the queues and completions in the
+        sink lists until :meth:`_clear`.
+        """
+        c = self.compiled
+        plans = self.plans
+        queues, sink_of = self.queues, self.sink_of
+        capacity, consumers_mask = c.capacity, c.consumers_mask
+        place_names, t_names = c.place_names, c.t_names
+        trace_cat = self.trace_cat
+        net_name = c.net.name
+        # Per capped place, its tokens plus the slots reserved by firings
+        # in flight (written for every place, read only for capped ones).
+        occ = [0] * len(place_names)
+        busy = [0] * len(t_names)
+        fire_count = [0] * len(t_names)
+        busy_time = [0.0] * len(t_names)
+        events: list[tuple[float, int, tuple, Token, float]] = []
         seq = 0
         now = 0.0
-        dirty = 0  # bitmask: bit ti = re-check transition ti
-
-        # Local aliases: the hot loop reads these thousands of times.
-        t_in, t_out = c.t_in, c.t_out
-        t_in_names = c.t_in_names
-        t_delay_const, t_delay_fn = c.t_delay_const, c.t_delay_fn
-        t_guard, t_servers = c.t_guard, c.t_servers
-        t_timeout_after, t_timeout_place = c.t_timeout_after, c.t_timeout_place
-        consumers_mask, producers_mask = c.consumers_mask, c.producers_mask
-        capacity = c.capacity
-        place_names = c.place_names
-        t_names = c.t_names
-        t_wake_fire, t_fast = c.t_wake_fire, c.t_fast
-        t_out1, t_outw = c.t_out1, c.t_outw
-        t_group = c.t_group
-        wake_done = self.wake_done
-        guard_slots, guard_dicts = self.guard_slots, self.guard_dicts
-        trace_cat = self.trace_cat
-        new_token = Token.__new__
-        new_comp = Completion.__new__
-        next_uid = _token_ids.__next__
-        net_name = c.net.name
-
-        # Injections never interleave with engine-generated events at
-        # the same (time, seq) — they were all scheduled first, so at
-        # any instant they apply before completions.  Keeping them in a
-        # sorted side list instead of the heap skips two heap ops per
-        # token.
-        first_injection = inj[0][0] if inj else None
+        # Two bitmasks over transition indices (bit ti = transition ti):
+        # ``dirty`` is what the reference engine re-checks in the next
+        # round, ``maybe`` the part of it that may be enabled.
+        dirty = maybe = 0
         if inj and inj[0][0] < now:
-            raise SimulationError(
-                f"event scheduled in the past ({inj[0][0]} < {now})"
-            )
+            raise SimulationError(f"event scheduled in the past ({inj[0][0]} < {now})")
         inj_i, inj_n = 0, len(inj)
-
-        def deposit(p: int, token: Token) -> None:
-            """A fault token enters ``p`` without a prior reservation."""
-            nonlocal dirty
-            comps = comp_of[p]
-            if comps is not None:
-                comps.append(Completion(time=now, token=token))
-                return
-            cap = capacity[p]
-            if cap is not None and cap - len(tokens[p]) - reserved[p] < 1:
-                raise CapacityError(
-                    f"place {place_names[p]!r} is full (capacity {cap})"
-                )
-            tokens[p].append(token)
-            dirty |= consumers_mask[p]
-
-        def fire_all() -> None:
-            nonlocal seq, dirty
-            fired = 0
-            while dirty:
-                # Ascending bit-scan == the reference's sorted batch.
-                batch = dirty
-                dirty = 0
-                while batch:
-                    low = batch & -batch
-                    batch -= low
-                    ti = low.bit_length() - 1
-                    # --- fully inlined loop for the dominant idiom:
-                    # one input arc, one output arc, no timeout (guards,
-                    # weights and callable delays allowed).  Cheap bail
-                    # first: most wake-ups find nothing to fire.
-                    fast = t_fast[ti]
-                    if fast is not None:
-                        dq = tokens[fast[0]]
-                        if len(dq) < fast[1]:
-                            continue
-                        servers = t_servers[ti]
-                        if servers is not None and busy[ti] >= servers:
-                            continue
-                        if fast[9]:
-                            # Tightest tier: weight-1 arcs, constant
-                            # delay, no guard — nothing to test per
-                            # firing.
-                            p_out = fast[2]
-                            delay_c = fast[7]
-                            wake = fast[8]
-                            cap = capacity[p_out]
-                            out_dq = tokens[p_out]
-                            while (
-                                dq
-                                and (servers is None or busy[ti] < servers)
-                                and (
-                                    cap is None
-                                    or cap - len(out_dq) - reserved[p_out] >= 1
-                                )
-                            ):
-                                first = dq.popleft()
-                                reserved[p_out] += 1
-                                dirty |= wake
-                                busy[ti] += 1
-                                fire_count[ti] += 1
-                                busy_time[ti] += delay_c
-                                fired += 1
-                                if fired > budget:
-                                    raise SimulationError(
-                                        f"net {net_name!r}: more than {budget} "
-                                        f"firings at t={now}; likely a zero-delay loop"
-                                    )
-                                heappush(
-                                    events, (now + delay_c, seq, _COMPLETE, ti, first, now)
-                                )
-                                seq += 1
-                            continue
-                        _, w_in, p_out, w_out, in_name, guard, delay_fn, delay_c, wake, _ = fast
-                        cap = capacity[p_out]
-                        out_dq = tokens[p_out]
-                        while (
-                            len(dq) >= w_in
-                            and (servers is None or busy[ti] < servers)
-                            and (
-                                cap is None
-                                or cap - len(out_dq) - reserved[p_out] >= w_out
-                            )
-                        ):
-                            if guard is not None or delay_fn is not None:
-                                slot = guard_slots[ti]
-                                if slot is not None:
-                                    slot[0] = dq[0]
-                                    consumed = guard_dicts[ti]
-                                else:
-                                    consumed = {
-                                        in_name: [dq[i] for i in range(w_in)]
-                                    }
-                                if guard is not None and not guard(consumed):
-                                    break
-                            first = dq.popleft()
-                            if w_in != 1:
-                                for _ in range(w_in - 1):
-                                    dq.popleft()
-                            reserved[p_out] += w_out
-                            dirty |= wake
-                            if delay_fn is None:
-                                delay = delay_c
-                            else:
-                                delay = float(delay_fn(consumed))
-                                if delay < 0:
-                                    raise DefinitionError(
-                                        f"transition {t_names[ti]!r} computed "
-                                        "a negative delay"
-                                    )
-                            busy[ti] += 1
-                            fire_count[ti] += 1
-                            busy_time[ti] += delay
-                            fired += 1
-                            if fired > budget:
-                                raise SimulationError(
-                                    f"net {net_name!r}: more than {budget} "
-                                    f"firings at t={now}; likely a zero-delay loop"
-                                )
-                            heappush(events, (now + delay, seq, _COMPLETE, ti, first, now))
-                            seq += 1
-                        continue
-                    group = t_group[ti]
-                    if group is not None:
-                        # Head-keyed dispatch: only the member the head
-                        # token selects can fire (guard => key), and
-                        # only a member firing changes the head, so the
-                        # others would all be found disabled at their
-                        # own positions.  Skip this one and drop from
-                        # the batch every member before the selected
-                        # one — or the whole group when the selected
-                        # one is not still ahead in this batch.
-                        head, field, table, not_group = group
-                        dq = tokens[head]
-                        hit = None
-                        if dq:
-                            try:
-                                hit = table.get(dq[0].payload[field])
-                            except (KeyError, IndexError, TypeError):
-                                raise SimulationError(
-                                    f"transition {t_names[ti]!r}: head token of "
-                                    f"{place_names[head]!r} has no hashable key "
-                                    f"field {field!r} (payload {dq[0].payload!r})"
-                                ) from None
-                        if hit is None:
-                            batch &= not_group
-                            continue
-                        if hit[0] != ti:
-                            batch &= hit[2] if batch & hit[1] else not_group
-                            continue
-                    servers = t_servers[ti]
-                    guard = t_guard[ti]
-                    delay_fn = t_delay_fn[ti]
-                    ins = t_in[ti]
-                    outs = t_out[ti]
-                    while True:
-                        # --- enabled? (same check order as the reference)
-                        if servers is not None and busy[ti] >= servers:
-                            break
-                        enabled = True
-                        for p, w in ins:
-                            if len(tokens[p]) < w:
-                                enabled = False
-                                break
-                        if enabled:
-                            for p, w in outs:
-                                cap = capacity[p]
-                                if cap is not None and cap - len(tokens[p]) - reserved[p] < w:
-                                    enabled = False
-                                    break
-                        if not enabled:
-                            break
-                        consumed: dict[str, list[Token]] | None = None
-                        if guard is not None or delay_fn is not None:
-                            names = t_in_names[ti]
-                            consumed = {}
-                            for (p, w), name in zip(ins, names, strict=True):
-                                dq = tokens[p]
-                                consumed[name] = (
-                                    [dq[0]] if w == 1 else [dq[i] for i in range(w)]
-                                )
-                            if guard is not None and not guard(consumed):
-                                break
-                        # --- fire: consume inputs, reserve outputs.
-                        first: Token | None = None
-                        for p, w in ins:
-                            dq = tokens[p]
-                            if len(dq) < w:
-                                raise ValueError(
-                                    f"place {place_names[p]!r} holds fewer than {w} tokens"
-                                )
-                            if first is None:
-                                first = dq[0]
-                            for _ in range(w):
-                                dq.popleft()
-                        for p, w in outs:
-                            reserved[p] += w
-                        dirty |= t_wake_fire[ti]
-                        delay = (
-                            float(delay_fn(consumed))
-                            if delay_fn is not None
-                            else t_delay_const[ti]
-                        )
-                        if delay < 0:
-                            raise DefinitionError(
-                                f"transition {t_names[ti]!r} computed a negative delay"
-                            )
-                        busy[ti] += 1
-                        fire_count[ti] += 1
-                        fired += 1
-                        if fired > budget:
-                            raise SimulationError(
-                                f"net {net_name!r}: more than {budget} "
-                                f"firings at t={now}; likely a zero-delay loop"
-                            )
-                        after = t_timeout_after[ti]
-                        if after is not None and delay > after:
-                            # Fault arc: abandon the work at the deadline
-                            # (see the reference engine for the contract).
-                            busy_time[ti] += after
-                            heappush(events, (now + after, seq, _FAIL, ti, first, now))
-                        else:
-                            busy_time[ti] += delay
-                            heappush(events, (now + delay, seq, _COMPLETE, ti, first, now))
-                        seq += 1
-
         deadline_exceeded = False
-        inf = float("inf")
         # One compare per instant: the reference checks max_time before
         # until, so the merged hurdle resolves ties the same way.
         hurdle = inf if max_time is None else max_time
         if until is not None and until < hurdle:
             hurdle = until
         while True:
-            t = events[0][0] if events else inf
-            if inj_i < inj_n:
-                t_inj = inj[inj_i][0]
-                if t_inj < t:
-                    t = t_inj
-            elif not events:
+            if events:
+                t = events[0][0]
+                if inj_i < inj_n and inj[inj_i][0] < t:
+                    t = inj[inj_i][0]
+            elif inj_i < inj_n:
+                t = inj[inj_i][0]
+            else:
                 break
             if t > hurdle:
                 if max_time is not None and t > max_time:
@@ -858,127 +754,197 @@ class EventLoop:
                     now = until
                 break
             now = t
+            # Injections apply before completions at the same instant.
             while inj_i < inj_n and inj[inj_i][0] == t:
-                idx, tok = inj[inj_i][2], inj[inj_i][3]
+                _, _, p, tok = inj[inj_i]
                 inj_i += 1
                 tok.born = t
-                comps = comp_of[idx]
-                if comps is not None:
-                    comp = new_comp(Completion)
-                    comp.time = t
-                    comp.token = tok
-                    comps.append(comp)
-                else:
-                    cap = capacity[idx]
-                    if cap is not None and cap - len(tokens[idx]) - reserved[idx] < 1:
-                        raise CapacityError(
-                            f"place {place_names[idx]!r} is full (capacity {cap})"
-                        )
-                    tokens[idx].append(tok)
-                    dirty |= consumers_mask[idx]
+                sink = sink_of[p]
+                if sink is not None:
+                    sink[0](t)
+                    sink[1](tok)
+                    continue
+                cap = capacity[p]
+                if cap is not None:
+                    if occ[p] >= cap:
+                        raise CapacityError(f"place {place_names[p]!r} is full (capacity {cap})")
+                    occ[p] += 1
+                queues[p].append(tok)
+                dirty |= consumers_mask[p]
+                maybe |= consumers_mask[p]
             while events and events[0][0] == t:
-                _, _, kind, idx, tok, t0 = heappop(events)
+                _, _, done, tok, t0 = heappop(events)
+                ti, appends, stamps, wake, may = done
                 if tracer is not None:
-                    if kind == _COMPLETE:
-                        tracer.add_span(
-                            t_names[idx], t0, t, cat=trace_cat[idx], tid=net_name
-                        )
+                    if appends is not None:
+                        tracer.add_span(t_names[ti], t0, t, cat=trace_cat[ti], tid=net_name)
                     else:
                         tracer.add_span(
-                            f"{t_names[idx]}!timeout",
-                            t0,
-                            t,
-                            cat="petri.timeout",
-                            tid=net_name,
+                            f"{t_names[ti]}!timeout", t0, t, cat="petri.timeout", tid=net_name
                         )
-                if kind == _COMPLETE:
-                    # Single output arc: the first child of the consumed
-                    # token has the same payload and born, so reuse
-                    # the (otherwise dead) token object instead of
-                    # fabricating a child per hop; extra weight copies
-                    # are fabricated inline.
-                    p = t_out1[idx]
-                    if p >= 0:
-                        if tok.born is None:
-                            tok.born = t0
-                        reserved[p] -= 1
-                        comps = comp_of[p]
-                        if comps is not None:
-                            comp = new_comp(Completion)
-                            comp.time = now
-                            comp.token = tok
-                            comps.append(comp)
+                if appends is not None:
+                    # A deposit into a place turns its reserved slot into
+                    # a token; one into a sink frees the slot.
+                    for append in appends:
+                        append(tok)
+                    if stamps:
+                        for stamp, p in stamps:
+                            stamp(t)
+                            occ[p] -= 1
+                else:  # timed out: the consumed token is the fault token
+                    releases, p, queue, sink, cap = stamps
+                    for q, w in releases:
+                        occ[q] -= w
+                    if sink is not None:
+                        sink[0](t)
+                        sink[1](tok)
+                    else:
+                        if cap is not None:
+                            if occ[p] >= cap:
+                                raise CapacityError(
+                                    f"place {place_names[p]!r} is full (capacity {cap})"
+                                )
+                            occ[p] += 1
+                        queue.append(tok)
+                busy[ti] -= 1
+                dirty |= wake
+                maybe |= may
+            # Fire everything enabled to a fixpoint, in the reference
+            # engine's rounds: each round re-checks, in ascending index
+            # (the deterministic (priority, name) order), the batch the
+            # previous one woke.  Only its ``scan`` part can be enabled:
+            # the rest would be found disabled unless a firing earlier in
+            # the round enables it, and that firing adds it to ``scan``.
+            fired = 0
+            while maybe:
+                batch = dirty
+                scan = maybe
+                dirty = maybe = 0
+                while scan:
+                    low = scan & -scan
+                    scan -= low
+                    plan = plans[low]
+                    group = plan[1]
+                    if group is not None:
+                        # Head-keyed dispatch: only the member the head
+                        # token selects can fire (guard => key), and only
+                        # a member firing changes the head, so the others
+                        # would all be found disabled at their own
+                        # positions.  Skip this one and drop from the scan
+                        # every member before the selected one, or the
+                        # whole group when the selected one is not still
+                        # ahead in it.
+                        head, field, table, not_group, memo = group
+                        if not head:
+                            scan &= not_group
+                            continue
+                        tok = head[0]
+                        if tok is memo[0]:
+                            hit = memo[1]
                         else:
-                            tokens[p].append(tok)
-                        dirty |= wake_done[idx]
-                        busy[idx] -= 1
-                    elif (ow := t_outw[idx]) is not None:
-                        p, w = ow
-                        if tok.born is None:
-                            tok.born = t0
-                        reserved[p] -= w
-                        comps = comp_of[p]
-                        if comps is not None:
-                            comp = new_comp(Completion)
-                            comp.time = now
-                            comp.token = tok
-                            comps.append(comp)
+                            try:
+                                hit = table.get(tok.payload[field])
+                            except (KeyError, IndexError, TypeError):
+                                raise SimulationError(
+                                    f"transition {t_names[plan[0]]!r}: head token of "
+                                    f"{place_names[c.t_group[plan[0]][0]]!r} has no "
+                                    f"hashable key field {field!r} (payload "
+                                    f"{tok.payload!r})"
+                                ) from None
+                            memo[0] = tok
+                            memo[1] = hit
+                        if hit is None:
+                            scan &= not_group
+                            continue
+                        if hit[1] != low:
+                            scan &= hit[2] if scan & hit[1] else not_group
+                            continue
+                    ti, _, servers, queue0, w0, ins, caps, fill, consumed, guard, fire = plan
+                    before = fired
+                    while busy[ti] < servers and len(queue0) >= w0:
+                        for queue, w, _ in ins:
+                            if len(queue) < w:
+                                break
                         else:
-                            tokens[p].append(tok)
-                        payload, born = tok.payload, tok.born
-                        for _ in range(w - 1):
-                            child = new_token(Token)
-                            child.payload = payload
-                            child.born = born
-                            child.uid = next_uid()
-                            if comps is not None:
-                                comp = new_comp(Completion)
-                                comp.time = now
-                                comp.token = child
-                                comps.append(comp)
+                            for p, room, _ in caps:
+                                if occ[p] > room:
+                                    break
                             else:
-                                tokens[p].append(child)
-                        dirty |= wake_done[idx]
-                        busy[idx] -= 1
-                    else:
-                        for p, w in t_out[idx]:
-                            reserved[p] -= w
-                            comps = comp_of[p]
-                            for _ in range(w):
-                                child = tok.child()
-                                if child.born is None:
-                                    child.born = t0
-                                if comps is not None:
-                                    comps.append(Completion(time=now, token=child))
+                                if fill is not None:
+                                    for slot, queue, w in fill:
+                                        if w == 1:
+                                            slot[0] = queue[0]
+                                        else:
+                                            slot[:] = islice(queue, w)
+                                    if guard is not None and not guard(consumed):
+                                        break
+                                fired += 1
+                                if fired > budget:
+                                    raise SimulationError(
+                                        f"net {net_name!r}: more than {budget} "
+                                        f"firings at t={now}; likely a zero-delay loop"
+                                    )
+                                (
+                                    p0, lead, delay_fn, delay_c, after, wake, may,
+                                    may_later, done, fail,
+                                ) = fire
+                                first = lead[0]
+                                if w0 == 1:
+                                    queue0.popleft()
                                 else:
-                                    tokens[p].append(child)
-                        busy[idx] -= 1
-                        dirty |= wake_done[idx]
-                else:  # _FAIL: release reservations, emit one fault token
-                    for p, w in t_out[idx]:
-                        reserved[p] -= w
-                        dirty |= producers_mask[p]
-                    deposit(t_timeout_place[idx], tok.child())
-                    busy[idx] -= 1
-                    dirty |= 1 << idx
-            fire_all()
-
-        residual = sum(len(dq) for dq in tokens)
-        pending = len(events) + (inj_n - inj_i)
-        return LoopOutcome(
-            end_time=now,
-            completions=completions,
-            first_injection=first_injection,
-            deadlocked=residual > 0 and not any(busy) and not pending,
-            residual_tokens=residual,
-            deadline_exceeded=deadline_exceeded,
-            pending=pending,
-            tokens=tokens,
-            reserved=reserved,
-            busy=busy,
-            fire_count=fire_count,
-            busy_time=busy_time,
-        )
+                                    for _ in range(w0):
+                                        queue0.popleft()
+                                occ[p0] -= w0
+                                if ins:
+                                    try:
+                                        for queue, w, p in ins:
+                                            if w == 1:
+                                                queue.popleft()
+                                            else:
+                                                for _ in range(w):
+                                                    queue.popleft()
+                                            occ[p] -= w
+                                    except IndexError:
+                                        # Only a place listed twice can run
+                                        # short of its arcs' takes.
+                                        raise ValueError(
+                                            f"place {place_names[p]!r} holds fewer "
+                                            f"than {w} tokens"
+                                        ) from None
+                                if caps:
+                                    for p, _, w in caps:
+                                        occ[p] += w
+                                dirty |= wake
+                                maybe |= may
+                                scan |= may_later & batch
+                                if delay_fn is None:
+                                    delay = delay_c
+                                else:
+                                    delay = float(delay_fn(consumed))
+                                    if delay < 0:
+                                        raise DefinitionError(
+                                            f"transition {t_names[ti]!r} computed a "
+                                            "negative delay"
+                                        )
+                                busy[ti] += 1
+                                fire_count[ti] += 1
+                                if after is not None and delay > after:
+                                    # Fault arc: abandon the work at the
+                                    # deadline (see the reference engine).
+                                    busy_time[ti] += after
+                                    heappush(events, (now + after, seq, fail, first, now))
+                                else:
+                                    busy_time[ti] += delay
+                                    heappush(events, (now + delay, seq, done, first, now))
+                                seq += 1
+                                continue
+                        break
+                    if group is not None and fired == before:
+                        # The head is unchanged, so every later member
+                        # would find the same selection: skip them.
+                        scan &= not_group
+            dirty = 0
+        return now, deadline_exceeded, events, inj_n - inj_i, busy, fire_count, busy_time
 
 
 def make_simulator(

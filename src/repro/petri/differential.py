@@ -14,9 +14,10 @@ item*: evaluating a matrix of workloads must give, for every item, exactly
 what a tracing-disabled :class:`CompiledSimulator` gives when run on that
 item in isolation.  :func:`compare_batch_engines` asserts it for both batch
 engines: the chain-recurrence codegen where the net supports it, and
-always the columnar engine — a second implementation of the firing
-rules, so this comparison (results and errors, item for item, in every
-item form) is what keeps it in step with the compiled engine.
+always the columnar engine.  The columnar engine runs the compiled
+engine's own loop, so there the comparison checks what surrounds it —
+tokens built from the item's triples, the reductions, the routing off a
+codegen chain, and error parity — item for item, in every item form.
 
 Case families:
 
@@ -30,6 +31,9 @@ Case families:
 * :func:`keyed_cases` — seeded nets with head-keyed transition groups
   (see :class:`~repro.petri.net.Transition`'s ``key``), built to reach
   every branch of the compiled engine's group check.
+* :func:`edge_cases` — hand-picked nets: identical errors, early stops,
+  a firing that enables a sibling's producer within its round, and places
+  listed twice on one side of a transition.
 * :func:`batch_cases` — batched-vs-compiled matrices over every
   accelerator net, seeded random chains (codegen coverage), the random
   structural and keyed nets above (columnar coverage), and hand-picked edge items
@@ -145,7 +149,7 @@ def _run_engine(
     load(sim)
     try:
         result = sim.run(**run_kwargs)
-    except PetriError as exc:
+    except (PetriError, ValueError) as exc:  # ValueError: a place listed twice ran short
         return ("error", type(exc).__name__, str(exc))
     digest = summarize(result, net)
     if tracer is not None:
@@ -494,7 +498,9 @@ def check_key_contract(case: DiffCase) -> int | None:
 
 def edge_cases() -> list[DiffCase]:
     """Hand-picked scenarios where both engines must raise the *same* error
-    (type and message), plus early-stop deadline/until handling."""
+    (type and message), early-stop deadline/until handling, a firing that
+    enables a sibling's producer within its round, and places listed twice
+    on one side of a transition (perf-lint PL013)."""
 
     def starved() -> tuple[PetriNet, list[str], Loader]:
         net = PetriNet("starved")
@@ -520,6 +526,71 @@ def edge_cases() -> list[DiffCase]:
         net.add_transition("t", ["in"], ["out"], delay=lambda c: -1.0)
         return net, ["out"], lambda sim: sim.inject("in", payload=0)
 
+    def sibling_wake() -> tuple[PetriNet, list[str], Loader]:
+        # t5_T's firing wakes its unguarded sibling t6_X for the next
+        # round although Q is full; in that round t1_Y frees Q first, so
+        # t6_X fires there, before t3_V (one round later it fires after).
+        net = PetriNet("sibling-wake")
+        for place in ("P", "Qp", "out"):
+            net.add_place(place)
+        net.add_place("Q", capacity=1)
+
+        def head(want: str) -> Callable[[dict], bool]:
+            return lambda consumed: consumed["Qp"][0].payload == want
+
+        net.add_transition("t1_Y", ["Qp", "Q"], ["out"], delay=1, guard=head("y"))
+        net.add_transition("t2_Z", ["Qp"], ["out"], delay=1, guard=head("z"))
+        net.add_transition("t3_V", ["Qp"], ["out"], delay=1, guard=head("v"))
+        net.add_transition("t4_W", ["Qp"], ["out"], delay=1, guard=head("w"))
+        net.add_transition("t5_T", ["P"], ["out"], delay=1)
+        net.add_transition("t6_X", ["P"], ["Q"], delay=1)
+
+        def load(sim: Any) -> None:
+            sim.inject("Q", "q")
+            sim.inject_stream("Qp", ["z", "y", "w", "v"])
+            sim.inject_stream("P", ["p1", "p2"])
+
+        return net, ["out"], load
+
+    def repeated_input(
+        sibling: bool, tokens: int
+    ) -> Callable[[], tuple[PetriNet, list[str], Loader]]:
+        # ``a + a``: the reference takes one token per arc, keeps the
+        # last arc's, and raises ValueError when the second take runs
+        # short.  With the sibling, t0's delay reads the token it keeps.
+        def build() -> tuple[PetriNet, list[str], Loader]:
+            net = PetriNet("repeated-input")
+            for place in ("a", "b", "out"):
+                net.add_place(place)
+            if sibling:
+                net.add_transition(
+                    "t0", ["a", "a"], ["out"], delay=lambda c: 1.0 + c["a"][0].payload
+                )
+                net.add_transition("t1", ["b"], ["out"], delay=1)
+            else:
+                net.add_transition("t0", ["a", "a"], ["out"], delay=1)
+
+            def load(sim: Any) -> None:
+                sim.inject_stream("a", range(tokens))
+                if sibling:
+                    sim.inject("b", payload=9)
+
+            return net, ["out"], load
+
+        return build
+
+    def repeated_output(weight: int) -> Callable[[], tuple[PetriNet, list[str], Loader]]:
+        # ``out + out:weight``: every arc of a place gets the last arc's
+        # tokens, so unequal weights raise at the first completion.
+        def build() -> tuple[PetriNet, list[str], Loader]:
+            net = PetriNet("repeated-output")
+            net.add_place("a")
+            net.add_place("out")
+            net.add_transition("t", ["a"], ["out", ("out", weight)], delay=1)
+            return net, ["out"], lambda sim: sim.inject_stream("a", range(3))
+
+        return build
+
     return [
         DiffCase("deadlock-stop", starved),
         DiffCase("deadlock-raise", starved, {"on_deadlock": "raise"}),
@@ -527,6 +598,12 @@ def edge_cases() -> list[DiffCase]:
         DiffCase("deadline-raise", slow_chain, {"max_time": 40.0, "on_deadline": "raise"}),
         DiffCase("until", slow_chain, {"until": 25.0}),
         DiffCase("negative-delay", bad_delay),
+        DiffCase("sibling-wake", sibling_wake),
+        DiffCase("repeated-input", repeated_input(sibling=False, tokens=2)),
+        DiffCase("repeated-input-sibling", repeated_input(sibling=True, tokens=2)),
+        DiffCase("repeated-input-short", repeated_input(sibling=False, tokens=1)),
+        DiffCase("repeated-output", repeated_output(1)),
+        DiffCase("repeated-output-weights", repeated_output(2)),
     ]
 
 
@@ -576,7 +653,7 @@ def _compiled_item_digest(build: BatchBuilder, item: BatchItem) -> tuple:
         for place, payload, at in item:
             sim.inject(place, payload, at=at)
         result = sim.run()
-    except PetriError as exc:
+    except (PetriError, ValueError) as exc:
         return ("error", type(exc).__name__, str(exc))
     times = {
         sink: [c.time for c in result.completions.get(sink, [])] for sink in sinks
@@ -650,7 +727,7 @@ def compare_batch_engines(case: BatchDiffCase) -> dict[str, list[tuple]]:
                 evaluator = BatchEvaluator(net, list(sinks), engine=engine)
                 try:
                     evaluator.evaluate(items[: first_error + 1], collect=True)
-                except PetriError as exc:
+                except (PetriError, ValueError) as exc:
                     got_err = ("error", type(exc).__name__, str(exc))
                 else:
                     got_err = ("no-error",)

@@ -17,7 +17,7 @@ from repro.petri import (
     codegen_supported,
     parse,
 )
-from repro.petri.compiled import EventLoop
+from repro.petri.compiled import PlanLoop
 from repro.petri.differential import (
     accel_batch_cases,
     batch_cases,
@@ -31,7 +31,7 @@ from repro.petri.differential import (
     random_chain_case,
     random_structural_batch_case,
 )
-from repro.petri.errors import DefinitionError, SimulationError
+from repro.petri.errors import CapacityError, DeadlineError, DefinitionError, SimulationError
 
 CHAIN_PNET = """\
 net chain
@@ -258,7 +258,7 @@ def test_keyed_batch_parity(seed):
 
 
 # ----------------------------------------------------------------------
-# The columnar engine's own loop: reuse across items, no event loop
+# The columnar engine's loop: reuse across items and per-item runs
 # ----------------------------------------------------------------------
 
 
@@ -328,18 +328,101 @@ def test_matrix_order_does_not_change_item_results(case):
     assert backwards[::-1] == forwards
 
 
-def test_vta_matrix_never_runs_the_event_loop(monkeypatch):
-    calls = []
-    run = EventLoop.run
+def _shared_net():
+    """A columnar-only net (two servers on ``a``) with a capped middle
+    place and a payload-dependent delay."""
+    net = PetriNet("shared")
+    net.add_place("in")
+    net.add_place("mid", capacity=2)
+    net.add_place("out")
+    net.add_transition("a", ["in"], ["mid"], delay=1.0, servers=2)
+    net.add_transition(
+        "b", ["mid"], ["out"], delay=lambda c: 0.5 + c["mid"][0].payload % 3, servers=1
+    )
+    return net
 
-    def spy(self, *args, **kwargs):
-        calls.append(1)
-        return run(self, *args, **kwargs)
 
-    monkeypatch.setattr(EventLoop, "run", spy)
-    case = next(c for c in accel_batch_cases() if c.name == "vta")
-    evaluator = BatchEvaluator(*case.build())
-    results = evaluator.evaluate(case.items)
+def _net_state(net):
+    """Per place (tokens, reserved slots, payloads) and per transition
+    (busy servers, fire count, busy time)."""
+    return (
+        {
+            name: (len(p.tokens), p.reserved, [t.payload for t in p.tokens])
+            for name, p in net.places.items()
+        },
+        {name: (t.busy, t.fire_count, t.busy_time) for name, t in net.transitions.items()},
+    )
+
+
+SHARED_ITEMS = [
+    [("in", k, 0.5 * k) for k in range(6)],
+    [("in", k, 0.0) for k in range(4)] + [("mid", 5, 0.0)],
+    [],
+]
+
+
+def test_per_item_runs_and_batch_items_share_one_loop(monkeypatch):
+    """A ``CompiledSimulator`` and a ``BatchEvaluator`` over one
+    ``CompiledNet`` run the same loop.  Per-item runs stopped by
+    ``until`` and by ``max_time`` (raising ``DeadlineError``) write back
+    the marking, reservations and counters pinned below, one that raises
+    ``CapacityError`` leaves the net as it was, and each leaves the loop
+    clean for the next batch."""
+    want = _digests(BatchEvaluator(_shared_net(), ["out"]), SHARED_ITEMS)
+    ran = []
+    run = PlanLoop._run
+
+    def spy(self, *args):
+        ran.append(self)
+        return run(self, *args)
+
+    monkeypatch.setattr(PlanLoop, "_run", spy)
+    net = _shared_net()
+    compiled = CompiledNet(net)
+    evaluator = BatchEvaluator(net, ["out"], compiled=compiled)
     assert evaluator.engine == "columnar"
-    assert evaluator.items_columnar == len(case.items) == len(results)
-    assert calls == []
+
+    sim = CompiledSimulator(net, ["out"], compiled=compiled)
+    sim.inject_stream("in", range(6), gap=0.5)
+    result = sim.run(until=3.0)
+    assert (result.end_time, len(result.sink()), result.residual_tokens) == (3.0, 2, 2)
+    assert not result.deadlocked and not result.deadline_exceeded
+    stopped = (
+        {"in": (1, 0, [5]), "mid": (1, 1, [3]), "out": (0, 1, [])},
+        {"a": (1, 5, 5.0), "b": (1, 3, 4.5)},
+    )
+    assert _net_state(net) == stopped
+    assert _digests(evaluator, SHARED_ITEMS) == want
+
+    sim = CompiledSimulator(net, ["out"], compiled=compiled)
+    sim.inject_stream("in", range(8), gap=0.25)
+    with pytest.raises(DeadlineError) as exc:
+        sim.run(max_time=4.0, on_deadline="raise")
+    assert str(exc.value) == (
+        "net 'shared' exceeded max_time=4.0 with 1 events pending (2 completions so far)"
+    )
+    partial = exc.value.result
+    assert [(c.time, c.token.payload) for c in partial.sink()] == [(1.5, 0), (3.0, 1)]
+    assert (partial.end_time, partial.residual_tokens, partial.deadline_exceeded) == (
+        4.0,
+        5,
+        True,
+    )
+    deadline = (
+        {"in": (3, 0, [5, 6, 7]), "mid": (2, 0, [3, 4]), "out": (0, 1, [])},
+        {"a": (0, 5, 5.0), "b": (1, 3, 4.5)},
+    )
+    assert _net_state(net) == deadline
+    assert _digests(evaluator, SHARED_ITEMS) == want
+
+    sim = CompiledSimulator(net, ["out"], compiled=compiled)
+    sim.inject_stream("in", range(3))
+    sim.inject_stream("mid", [7, 8, 9], start=2.0)  # the third one overflows
+    with pytest.raises(CapacityError, match="place 'mid' is full"):
+        sim.run()
+    assert _net_state(net) == deadline
+    assert _digests(evaluator, SHARED_ITEMS) == want
+
+    loop = compiled.plan_loop(["out"])
+    assert len(ran) == 3 + 3 * len(SHARED_ITEMS)
+    assert all(r is loop for r in ran)
