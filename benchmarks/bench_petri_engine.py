@@ -439,6 +439,34 @@ def test_batched_keyed_net():
     assert run_speedup >= 5.5, f"vta: compiled run only {run_speedup:.2f}x vs reference"
 
 
+class _CountingTracer(Tracer):
+    """A tracer that counts the emission calls it receives, enabled or
+    not: a disabled tracer that is normalized to ``None`` before any hot
+    loop sees it receives none."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.calls = 0
+
+    def add_span(self, *args, **kwargs):
+        self.calls += 1
+        return super().add_span(*args, **kwargs)
+
+    def instant(self, *args, **kwargs):
+        self.calls += 1
+        return super().instant(*args, **kwargs)
+
+    def counter(self, *args, **kwargs):
+        self.calls += 1
+        return super().counter(*args, **kwargs)
+
+    def wall_span(self, *args, **kwargs):
+        self.calls += 1
+        return super().wall_span(*args, **kwargs)
+
+
 def _time_traced(build, tracer) -> int:
     """Best-effort CPU ns for one compiled run with the given tracer."""
     net, sinks, load = build()
@@ -455,11 +483,19 @@ def test_tracing_overhead(report):
     """Observability must be pay-for-what-you-use on the hot engine.
 
     A *disabled* tracer is normalized away at simulator construction,
-    so the run loop is byte-identical to the untraced one — the
-    benchmark pins that claim to < 3% on the chain idiom (the
-    firing-densest of the three).  The *enabled* cost is reported for
-    context but not asserted: it buys a full per-firing timeline.
+    so the run loop is the untraced one.  The gate is that claim itself,
+    on the chain idiom (the firing-densest of the three): a disabled
+    tracer receives no call, where an enabled one receives calls.  A
+    timing gate could fail only on noise, since both sides run the same
+    code.  The timings are reported for context: the *enabled* cost buys
+    a full per-firing timeline.
     """
+    spies = _CountingTracer(enabled=False), _CountingTracer()
+    for spy in spies:
+        _time_traced(build_chain, spy)
+    assert spies[0].calls == 0, f"a disabled tracer received {spies[0].calls} calls"
+    assert spies[1].calls > 0  # the spy sees the engine's calls
+
     disabled = Tracer(enabled=False)
     base_ns = off_ns = on_ns = float("inf")
     for _ in range(60):  # interleave to cancel CPU-state drift
@@ -474,7 +510,6 @@ def test_tracing_overhead(report):
         f"({overhead * 100:+.1f}%)   enabled tracer {on_ns / 1e6:8.3f}ms "
         f"({(on_ns / base_ns - 1.0) * 100:+.1f}%)",
     )
-    assert overhead < 0.03, f"disabled tracer costs {overhead * 100:.1f}%"
 
 
 def test_attribution_overhead(report):
@@ -483,10 +518,11 @@ def test_attribution_overhead(report):
 
     Causal attribution is entirely post-hoc — it reads spans the tracer
     already buffered — so a serving run with a disabled tracer does the
-    same work as an unobserved one (the hot-path guards normalize a
-    disabled tracer to ``None`` and the disabled tracer allocates zero
-    events), pinned to the same < 3% band as the engine gate.  The
-    enabled-plus-attribute cost is reported for context, and the
+    same work as an unobserved one: the hot-path guards normalize a
+    disabled tracer to ``None``.  The gate, as for the engine, is that
+    a disabled tracer receives no call over the whole 60-request run,
+    where an enabled one receives calls.  The timings and the
+    enabled-plus-attribute cost are reported for context, and the
     enabled run must not perturb the virtual-clock outcome.
     """
     from repro.obs import Obs, Tracer, attribute
@@ -506,6 +542,12 @@ def test_attribution_overhead(report):
         t0 = time.process_time_ns()
         result = run(obs)
         return time.process_time_ns() - t0, result, obs
+
+    spies = _CountingTracer(enabled=False), _CountingTracer()
+    for spy in spies:
+        run(Obs(tracer=spy))
+    assert spies[0].calls == 0, f"a disabled tracer received {spies[0].calls} calls"
+    assert spies[1].calls > 0  # the spy sees the serving path's calls
 
     disabled = Tracer(enabled=False)
     base_ns = off_ns = on_ns = float("inf")
@@ -539,4 +581,3 @@ def test_attribution_overhead(report):
         f"({(on_ns / base_ns - 1.0) * 100:+.1f}%) "
         f"+ attribute() {attr_ns / 1e6:.3f}ms for {len(attrs)} requests",
     )
-    assert overhead < 0.03, f"disabled-tracer serving costs {overhead * 100:.1f}%"

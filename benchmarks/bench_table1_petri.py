@@ -80,9 +80,10 @@ def vta_row():
     tput = validate_interface(
         iface, model, tput_progs, check_latency=False, throughput_repeat=6, cache=cache
     )
-    # The shipped artifact: the net builder, its delay formulas, and
-    # every definition they read: the dispatch keys each guard and
-    # transition key compares, and the queue wiring tables.
+    # The shipped artifact: the net builder, its tokenizer and delay
+    # formulas, and every definition they read: the dispatch keys each
+    # guard and transition key compares, and the ISA's dependency
+    # wiring table the arcs and keys are derived from.
     artifact = "\n".join(
         [
             inspect.getsource(fn)
@@ -92,16 +93,14 @@ def vta_row():
                 vta_pkg.service_cycles,
                 vta_pkg.stream_estimate,
                 vta_pkg.interfaces.dispatch_payload,
-                vta_pkg.interfaces._head_insn,
-                vta_pkg.interfaces._full_pops,
-                vta_pkg.interfaces._full_pushes,
+                vta_pkg.interfaces._settings,
+                vta_pkg.interfaces._dispatch_keys,
             )
         ]
         + _table_sources(
-            vta_pkg.interfaces,
-            ("_MODULE_FLAGS", "_POP_QUEUE", "_PUSH_QUEUE", "_DISPATCH_KEYS", "_DMA_OPS",
-             "_CMD_PLACE"),
+            vta_pkg.interfaces, ("_DISPATCH_KEYS", "_DMA_OPS", "_CMD_PLACE")
         )
+        + _table_sources(vta_pkg.isa, ("DEP_FLAGS", "DEP_WIRING", "DEP_QUEUES"))
     )
     complexity = interface_complexity(
         artifact,

@@ -8,7 +8,7 @@ used by the examples.
 
 from __future__ import annotations
 
-from .isa import AluOp, Buffer, Instruction, Opcode, Program, token_balance
+from .isa import DEP_FLAGS, DEP_WIRING, AluOp, Buffer, Instruction, Opcode, Program, token_balance
 from .model import VtaConfig
 
 
@@ -20,8 +20,9 @@ def validate(program: Program, config: VtaConfig | None = None) -> list[str]:
     """Return a list of problems (empty = valid).
 
     Checks: dependency-token balance, per-load SRAM fit, FINISH
-    placement, and flag legality per module (e.g. a load-module
-    instruction cannot reference the store queue).
+    placement, and flag legality per module: a flag the module's
+    :data:`~repro.accel.vta.isa.DEP_WIRING` does not list names no queue
+    (e.g. a load-module instruction cannot reference a ``prev`` queue).
     """
     config = config or VtaConfig()
     problems: list[str] = []
@@ -39,11 +40,10 @@ def validate(program: Program, config: VtaConfig | None = None) -> list[str]:
                     f"insn {k}: LOAD {insn.buffer.value} of {insn.size}B exceeds "
                     f"the {cap}B buffer"
                 )
-        mod = insn.module.value
-        if mod == "load" and (insn.pop_prev or insn.push_prev):
-            problems.append(f"insn {k}: load module has no 'prev' queue")
-        if mod == "store" and (insn.pop_next or insn.push_next):
-            problems.append(f"insn {k}: store module has no 'next' queue")
+        wired = {flag for side in DEP_WIRING[insn.module] for flag, _ in side}
+        for end in ("prev", "next"):
+            if any(getattr(insn, f) for f in (f"pop_{end}", f"push_{end}") if f not in wired):
+                problems.append(f"insn {k}: {insn.module.value} module has no {end!r} queue")
 
     finishes = [k for k, i in enumerate(program.instructions) if i.op is Opcode.FINISH]
     if len(finishes) > 1:
@@ -70,11 +70,7 @@ def to_text(program: Program) -> str:
     """Serialize to assembly text (one instruction per line)."""
     lines = [f".program {program.name}"]
     for insn in program.instructions:
-        flags = ",".join(
-            name
-            for name in ("pop_prev", "pop_next", "push_prev", "push_next")
-            if getattr(insn, name)
-        )
+        flags = ",".join(name for name in DEP_FLAGS if getattr(insn, name))
         flag_part = f" !{flags}" if flags else ""
         if insn.op is Opcode.LOAD:
             lines.append(
@@ -116,7 +112,7 @@ def from_text(text: str) -> Program:
             line, _, flag_str = line.partition("!")
             line = line.strip()
             for f in flag_str.strip().split(","):
-                if f not in ("pop_prev", "pop_next", "push_prev", "push_next"):
+                if f not in DEP_FLAGS:
                     raise AssemblyError(f"line {line_no}: unknown flag {f!r}")
                 flags[f] = True
         fields = line.split()

@@ -22,7 +22,7 @@ from repro.core.petrinet import PetriNetInterface
 from repro.core.program import ProgramInterface
 from repro.petri import PetriNet
 
-from .isa import Instruction, Module, Opcode, Program
+from .isa import DEP_FLAGS, DEP_QUEUES, DEP_WIRING, Instruction, Module, Opcode, Program
 from .model import VtaConfig
 
 # ----------------------------------------------------------------------
@@ -63,25 +63,6 @@ def service_cycles(insn: Instruction, config: VtaConfig) -> float:
 # ----------------------------------------------------------------------
 # Representation 3: the Petri-net IR (paper Table 1, row "VTA")
 # ----------------------------------------------------------------------
-_MODULE_FLAGS = {
-    Module.LOAD: ("pop_next", "push_next"),
-    Module.COMPUTE: ("pop_prev", "pop_next", "push_prev", "push_next"),
-    Module.STORE: ("pop_prev", "push_prev"),
-}
-_POP_QUEUE = {
-    (Module.LOAD, "pop_next"): "c2l",
-    (Module.COMPUTE, "pop_prev"): "l2c",
-    (Module.COMPUTE, "pop_next"): "s2c",
-    (Module.STORE, "pop_prev"): "c2s",
-}
-_PUSH_QUEUE = {
-    (Module.LOAD, "push_next"): "l2c",
-    (Module.COMPUTE, "push_prev"): "c2l",
-    (Module.COMPUTE, "push_next"): "c2s",
-    (Module.STORE, "push_prev"): "s2c",
-}
-
-
 def build_vta_net(
     config: VtaConfig | None = None, *, model_port: bool = True
 ) -> PetriNet:
@@ -98,7 +79,12 @@ def build_vta_net(
     UOP/ACC loads all contend for one memory port, as in the hardware),
     and one transition per (module, dependency-flag combination, DMA or
     not), guarded on the instruction at the head of the command queue
-    and keyed on the dispatch key its guard compares.
+    and keyed on the dispatch key its guard compares.  The flags, their
+    queues and so the dependency arcs come from the ISA's
+    :data:`~repro.accel.vta.isa.DEP_WIRING`; each key value is the one
+    the tokenizer computes for an instruction with those flags.  Every
+    delay reads the instruction at the head of its transition's first
+    input place.
     """
     config = config or VtaConfig()
     net = PetriNet("vta")
@@ -110,33 +96,29 @@ def build_vta_net(
         # capacity-1 place (reserve-at-start semantics).
         net.add_place(f"free_{m.value}")
     net.add_place("dram_port")
-    for q in ("l2c", "c2l", "c2s", "s2c"):
+    for q in DEP_QUEUES:
         net.add_place(q)
     net.add_place("out")
 
-    def is_dma(insn: Instruction) -> bool:
-        return insn.op in (Opcode.LOAD, Opcode.STORE)
-
     def full_delay(consumed):
-        return service_cycles(_head_insn(consumed), config)
-
-    def setup_delay(consumed):
-        insn = _head_insn(consumed)
-        return config.store_setup if insn.op is Opcode.STORE else config.load_setup
+        return service_cycles(consumed["cmd_compute"][0].payload["insn"], config)
 
     def stream_delay(consumed):
-        return stream_estimate(_head_insn(consumed).size, config)
+        return stream_estimate(consumed["port_req"][0].payload["insn"].size, config)
 
     # All DMA setup stages feed one shared request place, so the port
     # is granted in request order (FCFS) across modules, matching the
     # memory controller's arbitration.
     net.add_place("port_req")
+    port = ["dram_port"] if model_port else []
 
     for module in Module:
-        pop_flags = [f for f in _MODULE_FLAGS[module] if f.startswith("pop")]
-        push_flags = [f for f in _MODULE_FLAGS[module] if f.startswith("push")]
+        pops, pushes = DEP_WIRING[module]
+        cmd_place, free = f"cmd_{module.value}", f"free_{module.value}"
 
-        cmd_place = f"cmd_{module.value}"
+        def setup_delay(consumed, cmd_place=cmd_place):
+            insn = consumed[cmd_place][0].payload["insn"]
+            return config.store_setup if insn.op is Opcode.STORE else config.load_setup
 
         # --- DMA, stage 1: descriptor setup (module held, port free).
         # Guards compare the precomputed dispatch keys in the token
@@ -144,19 +126,15 @@ def build_vta_net(
         # the key value its guard accepts, so the engine checks only the
         # one transition a head token selects: this is the hot path of
         # the whole IR.
-        for combo in itertools.product((False, True), repeat=len(pop_flags)):
-            setting = dict(zip(pop_flags, combo, strict=True))
-            inputs = [cmd_place, f"free_{module.value}"]
-            inputs += [_POP_QUEUE[(module, f)] for f, on in setting.items() if on]
-            want = (True, _full_pops(setting))
+        for tag, popped in _settings(pops):
+            want, _ = _dispatch_keys(module, True, popped)
 
             def setup_guard(consumed, cmd_place=cmd_place, want=want):
                 return consumed[cmd_place][0].payload["cmd_key"] == want
 
-            tag = "".join("1" if on else "0" for on in combo)
             net.add_transition(
                 f"{module.value}_dma_setup_{tag}",
-                inputs,
+                [cmd_place, free, *popped.values()],
                 ["port_req"],
                 delay=setup_delay,
                 guard=setup_guard,
@@ -165,22 +143,16 @@ def build_vta_net(
             )
 
         # --- DMA, stage 2: the stream itself (module and port held).
-        for combo in itertools.product((False, True), repeat=len(push_flags)):
-            setting = dict(zip(push_flags, combo, strict=True))
-            outputs = [f"free_{module.value}", "out"]
-            if model_port:
-                outputs.insert(1, "dram_port")
-            outputs += [_PUSH_QUEUE[(module, f)] for f, on in setting.items() if on]
-            want = (module.value, _full_pushes(setting))
+        for tag, pushed in _settings(pushes):
+            _, want = _dispatch_keys(module, True, pushed)
 
             def stream_guard(consumed, want=want):
                 return consumed["port_req"][0].payload["port_key"] == want
 
-            tag = "".join("1" if on else "0" for on in combo)
             net.add_transition(
                 f"{module.value}_dma_stream_{tag}",
-                ["port_req", "dram_port"] if model_port else ["port_req"],
-                outputs,
+                ["port_req", *port],
+                [free, *port, "out", *pushed.values()],
                 delay=stream_delay,
                 guard=stream_guard,
                 servers=1,
@@ -189,42 +161,38 @@ def build_vta_net(
 
         # --- Non-DMA instructions (compute only: GEMM/ALU/FINISH).
         if module is Module.COMPUTE:
-            flags = _MODULE_FLAGS[module]
-            for combo in itertools.product((False, True), repeat=len(flags)):
-                setting = dict(zip(flags, combo, strict=True))
-                inputs = [cmd_place, f"free_{module.value}"]
-                outputs = [f"free_{module.value}", "out"]
-                for flag, on in setting.items():
-                    if not on:
-                        continue
-                    if flag.startswith("pop"):
-                        inputs.append(_POP_QUEUE[(module, flag)])
-                    else:
-                        outputs.append(_PUSH_QUEUE[(module, flag)])
-                want = (False, _full_pops(setting), _full_pushes(setting))
+            for pop_tag, popped in _settings(pops):
+                for push_tag, pushed in _settings(pushes):
+                    want, _ = _dispatch_keys(module, False, {**popped, **pushed})
 
-                def guard(consumed, want=want):
-                    return consumed["cmd_compute"][0].payload["cmd_key"] == want
+                    def guard(consumed, want=want):
+                        return consumed["cmd_compute"][0].payload["cmd_key"] == want
 
-                tag = "".join("1" if on else "0" for on in combo)
-                net.add_transition(
-                    f"compute_{tag}",
-                    inputs,
-                    outputs,
-                    delay=full_delay,
-                    guard=guard,
-                    servers=1,
-                    key=(cmd_place, "cmd_key", want),
-                )
+                    net.add_transition(
+                        f"compute_{pop_tag}{push_tag}",
+                        [cmd_place, free, *popped.values()],
+                        [free, "out", *pushed.values()],
+                        delay=full_delay,
+                        guard=guard,
+                        servers=1,
+                        key=(cmd_place, "cmd_key", want),
+                    )
     return net
 
 
-def _full_pops(setting: dict) -> tuple[bool, bool]:
-    return (setting.get("pop_prev", False), setting.get("pop_next", False))
+def _settings(wired):
+    """Each on/off setting of a module's ``(flag, queue)`` pairs, in
+    ``itertools.product`` order: its tag (one bit per pair) and the
+    pairs it sets, as a ``flag -> queue`` dict."""
+    for bits in itertools.product((False, True), repeat=len(wired)):
+        tag = "".join("1" if bit else "0" for bit in bits)
+        yield tag, {flag: queue for (flag, queue), bit in zip(wired, bits, strict=True) if bit}
 
 
-def _full_pushes(setting: dict) -> tuple[bool, bool]:
-    return (setting.get("push_prev", False), setting.get("push_next", False))
+def _dispatch_keys(module: Module, dma: bool, flags) -> tuple:
+    """``(cmd_key, port_key)`` of a ``module`` instruction that sets
+    exactly ``flags``."""
+    return _DISPATCH_KEYS[(module, dma, *(flag in flags for flag in DEP_FLAGS))]
 
 
 #: ``(cmd_key, port_key)`` per instruction flag combination ``(module,
@@ -245,13 +213,14 @@ _DMA_OPS = (Opcode.LOAD, Opcode.STORE)
 _CMD_PLACE = {module: f"cmd_{module.value}" for module in Module}
 
 
-def dispatch_payload(insn: Instruction, idx: int, copy: int = 0) -> dict:
+def dispatch_payload(insn: Instruction, idx: int) -> dict:
     """The instruction plus the two dispatch keys the net's guards and
     transition keys read: ``cmd_key`` selects the command-queue
     transition, ``(True, pops)`` for a DMA instruction and
     ``(False, pops, pushes)`` otherwise; ``port_key`` selects the DMA
     stream transition, ``(module, pushes)``.  Reads the module the
-    instruction derived when it was built."""
+    instruction derived when it was built.  ``copy`` is 0 until
+    :meth:`VtaPetriInterface.throughput` numbers the streamed copies."""
     cmd_key, port_key = _DISPATCH_KEYS[
         insn.module,
         insn.op in _DMA_OPS,
@@ -260,36 +229,17 @@ def dispatch_payload(insn: Instruction, idx: int, copy: int = 0) -> dict:
         insn.push_prev,
         insn.push_next,
     ]
-    return {"insn": insn, "idx": idx, "copy": copy, "cmd_key": cmd_key, "port_key": port_key}
+    return {"insn": insn, "idx": idx, "copy": 0, "cmd_key": cmd_key, "port_key": port_key}
 
 
-def _head_insn(consumed) -> Instruction:
-    for place, tokens in consumed.items():
-        if (place.startswith("cmd_") or place == "port_req") and tokens:
-            return tokens[0].payload["insn"]
-    raise ValueError("no command token consumed")
-
-
-def tokenize_program(
-    program: Program, *, dispatch: float = 1.0, copy: int = 0, offset: float = 0.0
-) -> list[tuple[str, dict, float]]:
+def tokenize_program(program: Program) -> list[tuple[str, dict, float]]:
     """One token per instruction into its module's command queue, at the
     fetch module's one-per-cycle dispatch times, plus the three 'module
-    free' tokens that serialize each engine (only for copy 0)."""
-    injections = []
-    if copy == 0:
-        for m in Module:
-            injections.append((f"free_{m.value}", {"insn": None}, 0.0))
-        injections.append(("dram_port", {"insn": None}, 0.0))
-    base = offset
+    free' tokens that serialize each engine and the memory port's."""
+    injections = [(f"free_{m.value}", {"insn": None}, 0.0) for m in Module]
+    injections.append(("dram_port", {"insn": None}, 0.0))
     for idx, insn in enumerate(program.instructions):
-        injections.append(
-            (
-                _CMD_PLACE[insn.module],
-                dispatch_payload(insn, idx, copy),
-                base + (idx + 1) * dispatch,
-            )
-        )
+        injections.append((_CMD_PLACE[insn.module], dispatch_payload(insn, idx), float(idx + 1)))
     return injections
 
 

@@ -60,6 +60,26 @@ class Module(enum.Enum):
     __hash__ = object.__hash__
 
 
+#: The four dependency-token flags of an instruction, in field order.
+DEP_FLAGS = ("pop_prev", "pop_next", "push_prev", "push_next")
+#: VTA's dependency wiring, the one statement of it: per module, the
+#: ``(flag, queue)`` pairs it pops before executing and those it pushes
+#: after, in the order the hardware takes them.  Compute sits in the
+#: middle: its ``prev`` queues face load, its ``next`` queues store.  A
+#: flag a module does not list names no queue (the assembler rejects it).
+DEP_WIRING = {
+    Module.LOAD: ((("pop_next", "c2l"),), (("push_next", "l2c"),)),
+    Module.COMPUTE: (
+        (("pop_prev", "l2c"), ("pop_next", "s2c")),
+        (("push_prev", "c2l"), ("push_next", "c2s")),
+    ),
+    Module.STORE: ((("pop_prev", "c2s"),), (("push_prev", "s2c"),)),
+}
+#: The four dependency queues, each named once by its pushing module:
+#: load→compute, compute→load, compute→store, store→compute.
+DEP_QUEUES = tuple(queue for _, pushes in DEP_WIRING.values() for _, queue in pushes)
+
+
 @dataclass(frozen=True, init=False)
 class Instruction:
     """One VTA instruction.
@@ -237,26 +257,13 @@ def token_balance(program: Program) -> dict[str, int]:
     are never pushed and will deadlock; the assembler rejects those.
     Positive leftovers are legal (tokens simply remain).
     """
-    balance = {"l2c": 0, "c2l": 0, "c2s": 0, "s2c": 0}
+    balance = dict.fromkeys(DEP_QUEUES, 0)
     for insn in program.instructions:
-        m = insn.module
-        if m is Module.LOAD:
-            if insn.push_next:
-                balance["l2c"] += 1
-            if insn.pop_next:
-                balance["c2l"] -= 1
-        elif m is Module.COMPUTE:
-            if insn.push_prev:
-                balance["c2l"] += 1
-            if insn.push_next:
-                balance["c2s"] += 1
-            if insn.pop_prev:
-                balance["l2c"] -= 1
-            if insn.pop_next:
-                balance["s2c"] -= 1
-        elif m is Module.STORE:
-            if insn.push_prev:
-                balance["s2c"] += 1
-            if insn.pop_prev:
-                balance["c2s"] -= 1
+        pops, pushes = DEP_WIRING[insn.module]
+        for flag, queue in pushes:
+            if getattr(insn, flag):
+                balance[queue] += 1
+        for flag, queue in pops:
+            if getattr(insn, flag):
+                balance[queue] -= 1
     return balance

@@ -29,7 +29,7 @@ from repro.hw import Dram, DramConfig, EventSim
 from repro.hw.kernel import SimError
 from repro.hw.proc import Delay, Get, ProcQueue, Put, spawn
 
-from .isa import Buffer, Instruction, Module, Opcode, Program, token_balance
+from .isa import DEP_QUEUES, DEP_WIRING, Buffer, Instruction, Module, Opcode, Program, token_balance
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ class VtaModel(AcceleratorModel[Program]):
         cmd: dict[Module, ProcQueue] = {
             m: ProcQueue(sim, cfg.cmd_queue_depth, f"cmd_{m.value}") for m in Module
         }
-        dep = {name: ProcQueue(sim, None, name) for name in ("l2c", "c2l", "c2s", "s2c")}
+        dep = {queue: ProcQueue(sim, None, queue) for queue in DEP_QUEUES}
         insn_end = [0.0] * len(program)
         busy = {m.value: 0.0 for m in Module}
 
@@ -122,13 +122,13 @@ class VtaModel(AcceleratorModel[Program]):
                 yield Put(cmd[insn.module], (idx, insn))
 
         def module_proc(module: Module):
-            pops, pushes = _dep_wiring(module, dep)
+            pops, pushes = DEP_WIRING[module]
             count = len(program.by_module(module))
             for _ in range(count):
                 idx, insn = yield Get(cmd[module])
                 for flag, queue in pops:
                     if getattr(insn, flag):
-                        yield Get(queue)
+                        yield Get(dep[queue])
                 start = sim.now
                 if insn.op in (Opcode.LOAD, Opcode.STORE):
                     setup = (
@@ -147,7 +147,7 @@ class VtaModel(AcceleratorModel[Program]):
                 insn_end[idx] = sim.now
                 for flag, queue in pushes:
                     if getattr(insn, flag):
-                        yield Put(queue, 1)
+                        yield Put(dep[queue], 1)
 
         statuses = [spawn(sim, fetch(), name="fetch")]
         for m in Module:
@@ -187,18 +187,3 @@ class VtaModel(AcceleratorModel[Program]):
         ends = result.copy_ends(repeat)
         skip = self.THROUGHPUT_WARMUP
         return (repeat - 1 - skip) / (ends[-1] - ends[skip])
-
-
-def _dep_wiring(module: Module, dep: dict[str, ProcQueue]):
-    """(pop_flag, queue) and (push_flag, queue) pairs for a module,
-    following VTA's prev/next convention (compute sits in the middle)."""
-    if module is Module.LOAD:
-        pops = [("pop_next", dep["c2l"])]
-        pushes = [("push_next", dep["l2c"])]
-    elif module is Module.COMPUTE:
-        pops = [("pop_prev", dep["l2c"]), ("pop_next", dep["s2c"])]
-        pushes = [("push_prev", dep["c2l"]), ("push_next", dep["c2s"])]
-    else:
-        pops = [("pop_prev", dep["c2s"])]
-        pushes = [("push_prev", dep["s2c"])]
-    return pops, pushes

@@ -22,8 +22,8 @@ from enum import Enum
 from repro.hw import Dram
 from repro.hw.kernel import SimError
 
-from .isa import Instruction, Module, Opcode, Program, token_balance
-from .model import VtaConfig, VtaRunResult, _dep_wiring
+from .isa import DEP_QUEUES, DEP_WIRING, Instruction, Module, Opcode, Program, token_balance
+from .model import VtaConfig, VtaRunResult
 
 
 class _Phase(Enum):
@@ -39,7 +39,6 @@ class _ModuleState:
     phase: _Phase = _Phase.IDLE
     busy_until: int = 0
     current: tuple[int, Instruction] | None = None
-    done_count: int = 0
 
 
 class TickVtaSimulator:
@@ -63,17 +62,9 @@ class TickVtaSimulator:
         # Command queues hold (index, instruction); dependency-token
         # queues are plain counters (tokens carry no data).
         cmd: dict[Module, deque] = {m: deque() for m in Module}
-        deps = {name: 0 for name in ("l2c", "c2l", "c2s", "s2c")}
-        dep_names = {
-            m: (
-                [(flag, q.name) for flag, q in _dep_wiring(m, _named(deps))[0]],
-                [(flag, q.name) for flag, q in _dep_wiring(m, _named(deps))[1]],
-            )
-            for m in Module
-        }
+        deps = dict.fromkeys(DEP_QUEUES, 0)
 
         states = {m: _ModuleState(m) for m in Module}
-        expected = {m: len(program.by_module(m)) for m in Module}
         insn_end = [0] * len(program)
         busy = {m.value: 0.0 for m in Module}
 
@@ -109,7 +100,7 @@ class TickVtaSimulator:
 
                 for m in Module:
                     st = states[m]
-                    pops, pushes = dep_names[m]
+                    pops, pushes = DEP_WIRING[m]
 
                     # Phase transitions at the completion instant.
                     if st.phase is _Phase.SETUP and st.busy_until == cycle:
@@ -130,7 +121,6 @@ class TickVtaSimulator:
                                 deps[qname] += 1
                         st.phase = _Phase.IDLE
                         st.current = None
-                        st.done_count += 1
                         done += 1
                         progress = True
 
@@ -182,18 +172,3 @@ class TickVtaSimulator:
 
     def measure_latency(self, program: Program) -> float:
         return self.run(program).cycles
-
-
-class _named:
-    """Adapter so _dep_wiring's queue objects expose .name over a dict."""
-
-    def __init__(self, deps: dict[str, int]):
-        self._deps = deps
-
-    def __getitem__(self, key: str):
-        return _NamedQueue(key)
-
-
-@dataclass(frozen=True)
-class _NamedQueue:
-    name: str

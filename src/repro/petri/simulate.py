@@ -42,9 +42,10 @@ class _Event:
     action: Callable[[], None] = field(compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Completion:
-    """A token arriving at a sink place."""
+    """A token arriving at a sink place (slotted: a per-item run builds
+    one per sink completion)."""
 
     time: float
     token: Token
