@@ -521,7 +521,8 @@ def test_attribution_overhead(report):
     same work as an unobserved one: the hot-path guards normalize a
     disabled tracer to ``None``.  The gate, as for the engine, is that
     a disabled tracer receives no call over the whole 60-request run,
-    where an enabled one receives calls.  The timings and the
+    nor over a crowded one whose serving loop emits too, where an
+    enabled one receives calls.  The timings and the
     enabled-plus-attribute cost are reported for context, and the
     enabled run must not perturb the virtual-clock outcome.
     """
@@ -530,12 +531,16 @@ def test_attribution_overhead(report):
     from repro.runtime.pool import rpc_pool
     from repro.workloads import ENTERPRISE_MIX
 
-    msgs, arrivals = ENTERPRISE_MIX.sample_open(seed=7, count=60, mean_gap=900.0)
+    sample = ENTERPRISE_MIX.sample_open(seed=7, count=60, mean_gap=900.0)
+    # Those 60 RPCs never wait for admission, shed or drop, so the serving
+    # loop itself emits nothing; a dense burst through one dispatch slot
+    # waits for admission, so the loop emits too.
+    crowded = ENTERPRISE_MIX.sample_open(seed=7, count=60, mean_gap=30.0)
 
-    def run(obs):
+    def run(obs, sample=sample, **server_kwargs):
         pool = rpc_pool("interface_predicted", faults="none", seed=7, obs=obs)
-        server = OpenLoopServer(pool, deadline=60_000.0, obs=obs)
-        return server.run(msgs, arrivals)
+        server = OpenLoopServer(pool, deadline=60_000.0, obs=obs, **server_kwargs)
+        return server.run(*sample)
 
     def timed(make_obs):
         obs = make_obs()
@@ -543,11 +548,13 @@ def test_attribution_overhead(report):
         result = run(obs)
         return time.process_time_ns() - t0, result, obs
 
-    spies = _CountingTracer(enabled=False), _CountingTracer()
-    for spy in spies:
-        run(Obs(tracer=spy))
-    assert spies[0].calls == 0, f"a disabled tracer received {spies[0].calls} calls"
-    assert spies[1].calls > 0  # the spy sees the serving path's calls
+    for spied, server_kwargs in ((sample, {}), (crowded, {"max_inflight": 1})):
+        spies = _CountingTracer(enabled=False), _CountingTracer()
+        for spy in spies:
+            run(Obs(tracer=spy), spied, **server_kwargs)
+        assert spies[0].calls == 0, f"a disabled tracer received {spies[0].calls} calls"
+        assert spies[1].calls > 0  # the spy sees the serving path's calls
+    assert "runtime.server" in spies[1].categories()  # the crowded loop's own calls
 
     disabled = Tracer(enabled=False)
     base_ns = off_ns = on_ns = float("inf")

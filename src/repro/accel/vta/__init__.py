@@ -21,6 +21,7 @@ from .isa import (
     Module,
     Opcode,
     Program,
+    dep_problems,
     token_balance,
 )
 from .model import VtaConfig, VtaModel, VtaRunResult
@@ -59,6 +60,7 @@ __all__ = [
     "VtaRunResult",
     "assert_valid",
     "build_vta_net",
+    "dep_problems",
     "from_text",
     "latency_vta_roofline",
     "legal_tilings",

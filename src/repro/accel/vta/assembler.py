@@ -8,7 +8,7 @@ used by the examples.
 
 from __future__ import annotations
 
-from .isa import DEP_FLAGS, DEP_WIRING, AluOp, Buffer, Instruction, Opcode, Program, token_balance
+from .isa import DEP_FLAGS, AluOp, Buffer, Instruction, Opcode, Program, dep_problems
 from .model import VtaConfig
 
 
@@ -19,18 +19,12 @@ class AssemblyError(Exception):
 def validate(program: Program, config: VtaConfig | None = None) -> list[str]:
     """Return a list of problems (empty = valid).
 
-    Checks: dependency-token balance, per-load SRAM fit, FINISH
-    placement, and flag legality per module: a flag the module's
-    :data:`~repro.accel.vta.isa.DEP_WIRING` does not list names no queue
-    (e.g. a load-module instruction cannot reference a ``prev`` queue).
+    Checks: the dependency queues (token balance and per-module flag
+    legality, :func:`~repro.accel.vta.isa.dep_problems`), per-load
+    SRAM fit, and FINISH placement.
     """
     config = config or VtaConfig()
-    problems: list[str] = []
-
-    balance = token_balance(program)
-    for queue, net in balance.items():
-        if net < 0:
-            problems.append(f"queue {queue}: {-net} pops have no matching push")
+    problems = dep_problems(program)
 
     for k, insn in enumerate(program.instructions):
         if insn.op is Opcode.LOAD:
@@ -40,10 +34,6 @@ def validate(program: Program, config: VtaConfig | None = None) -> list[str]:
                     f"insn {k}: LOAD {insn.buffer.value} of {insn.size}B exceeds "
                     f"the {cap}B buffer"
                 )
-        wired = {flag for side in DEP_WIRING[insn.module] for flag, _ in side}
-        for end in ("prev", "next"):
-            if any(getattr(insn, f) for f in (f"pop_{end}", f"push_{end}") if f not in wired):
-                problems.append(f"insn {k}: {insn.module.value} module has no {end!r} queue")
 
     finishes = [k for k, i in enumerate(program.instructions) if i.op is Opcode.FINISH]
     if len(finishes) > 1:

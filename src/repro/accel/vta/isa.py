@@ -267,3 +267,23 @@ def token_balance(program: Program) -> dict[str, int]:
             if getattr(insn, flag):
                 balance[queue] -= 1
     return balance
+
+
+def dep_problems(program: Program) -> list[str]:
+    """Why the dependency queues cannot run ``program`` (empty if they
+    can): a queue it pops more tokens from than it pushes, which would
+    deadlock, and a flag its module's :data:`DEP_WIRING` does not list,
+    which names no queue (a load-module instruction has no ``prev``
+    queue).  The assembler reports these, and both simulators refuse to
+    run such a program."""
+    problems = [
+        f"queue {queue}: pops tokens never pushed ({-net} with no matching push)"
+        for queue, net in token_balance(program).items()
+        if net < 0
+    ]
+    for k, insn in enumerate(program.instructions):
+        wired = {flag for side in DEP_WIRING[insn.module] for flag, _ in side}
+        for end in ("prev", "next"):
+            if any(getattr(insn, f) for f in (f"pop_{end}", f"push_{end}") if f not in wired):
+                problems.append(f"insn {k}: {insn.module.value} module has no {end!r} queue")
+    return problems

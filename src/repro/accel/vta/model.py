@@ -29,7 +29,7 @@ from repro.hw import Dram, DramConfig, EventSim
 from repro.hw.kernel import SimError
 from repro.hw.proc import Delay, Get, ProcQueue, Put, spawn
 
-from .isa import DEP_QUEUES, DEP_WIRING, Buffer, Instruction, Module, Opcode, Program, token_balance
+from .isa import DEP_QUEUES, DEP_WIRING, Buffer, Instruction, Module, Opcode, Program, dep_problems
 
 
 @dataclass(frozen=True)
@@ -99,11 +99,11 @@ class VtaModel(AcceleratorModel[Program]):
     # ------------------------------------------------------------------
     def run(self, program: Program) -> VtaRunResult:
         """Simulate one program from a cold start; validates first."""
-        balance = token_balance(program)
-        negative = {q: b for q, b in balance.items() if b < 0}
-        if negative:
+        problems = dep_problems(program)
+        if problems:
             raise SimError(
-                f"program {program.name!r} pops tokens never pushed: {negative}"
+                f"program {program.name!r} cannot run: "
+                f"{'; '.join(problems)}"
             )
         cfg = self.config
         sim = EventSim()

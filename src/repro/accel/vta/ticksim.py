@@ -22,7 +22,7 @@ from enum import Enum
 from repro.hw import Dram
 from repro.hw.kernel import SimError
 
-from .isa import DEP_QUEUES, DEP_WIRING, Instruction, Module, Opcode, Program, token_balance
+from .isa import DEP_QUEUES, DEP_WIRING, Instruction, Module, Opcode, Program, dep_problems
 from .model import VtaConfig, VtaRunResult
 
 
@@ -48,10 +48,11 @@ class TickVtaSimulator:
         self.config = config or VtaConfig()
 
     def run(self, program: Program, *, max_cycles: int = 200_000_000) -> VtaRunResult:
-        negative = {q: b for q, b in token_balance(program).items() if b < 0}
-        if negative:
+        problems = dep_problems(program)
+        if problems:
             raise SimError(
-                f"program {program.name!r} pops tokens never pushed: {negative}"
+                f"program {program.name!r} cannot run: "
+                f"{'; '.join(problems)}"
             )
         cfg = self.config
         dram = Dram(cfg.dram)

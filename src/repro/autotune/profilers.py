@@ -19,10 +19,13 @@ from __future__ import annotations
 
 import abc
 import time
+from collections.abc import Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.accel.vta import (
+    GemmWorkload,
     Program,
     VtaConfig,
     VtaModel,
@@ -30,9 +33,12 @@ from repro.accel.vta import (
     petri_interface,
 )
 from repro.accel.vta.ticksim import TickVtaSimulator
+from repro.core.petrinet import PetriNetInterface
 
 if TYPE_CHECKING:
     from repro.perf import EvalCache
+
+    from .tuner import Candidate
 
 
 class Profiler(abc.ABC):
@@ -46,33 +52,43 @@ class Profiler(abc.ABC):
 
     def profile(self, program: Program) -> float:
         """Predicted/simulated cycles for ``program`` (wall time logged)."""
-        start = time.perf_counter()
-        try:
+        with self._timed(1):
             return self._profile(program)
-        finally:
-            self.wall_seconds += time.perf_counter() - start
-            self.queries += 1
 
     @abc.abstractmethod
     def _profile(self, program: Program) -> float:
         ...
 
     def profile_batch(self, programs: list[Program]) -> list[float]:
-        """Cycles for every candidate, in input order (wall time logged).
+        """Cycles for every program, in input order (wall time logged).
 
-        Default is a per-candidate loop; tiers backed by an interface
+        Default is a per-program loop; tiers backed by an interface
         with a batch engine override ``_profile_batch`` to answer the
         whole generation in one pass.
         """
-        start = time.perf_counter()
-        try:
+        with self._timed(len(programs)):
             return self._profile_batch(programs)
-        finally:
-            self.wall_seconds += time.perf_counter() - start
-            self.queries += len(programs)
 
     def _profile_batch(self, programs: list[Program]) -> list[float]:
         return [self._profile(p) for p in programs]
+
+    def profile_candidates(
+        self, work: GemmWorkload, candidates: Sequence[Candidate]
+    ) -> list[float]:
+        """Cycles for each tuning candidate of ``work``, in input order:
+        the tuner's one way in.  Lowers every candidate, outside the
+        wall-clock account, and profiles the programs as one batch."""
+        return self.profile_batch([cand.lower(work) for cand in candidates])
+
+    @contextmanager
+    def _timed(self, queries: int) -> Iterator[None]:
+        """Log the block as ``queries`` queries and its wall time."""
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.wall_seconds += time.perf_counter() - start
+            self.queries += queries
 
     def reset_accounting(self) -> None:
         self.wall_seconds = 0.0
@@ -82,8 +98,10 @@ class Profiler(abc.ABC):
         """Content identity of this tier's answers: two tiers of one
         name with equal fingerprints report equal cycles for every
         candidate.  The default hashes the canonical bytes of the
-        tier's :class:`VtaConfig` (``self.config``); a tier that answers
-        from anything else overrides it."""
+        tier's :class:`VtaConfig` (``self.config``): the model, tick and
+        roofline tiers answer from their config and their own code,
+        which the key does not cover.  A tier that answers from anything
+        else overrides it."""
         from repro.perf.fingerprint import workload_key
 
         return workload_key(self.config)
@@ -134,42 +152,80 @@ class PetriProfiler(Profiler):
         return self._iface.evaluate_batch(programs)
 
     def fingerprint(self) -> str:
-        """Its interface's :attr:`~repro.core.petrinet.PetriNetInterface.namespace`."""
-        return self._iface.namespace
+        """What lies between a program and its cycles, short of the
+        Petri engines: the interface's
+        :attr:`~repro.core.petrinet.PetriNetInterface.namespace` (its
+        net), its sink and epilogue, and, each as a
+        :func:`~repro.perf.fingerprint.code_reference` (name plus
+        defining module's source), its tokenizer and every
+        :class:`~repro.core.petrinet.PetriNetInterface` class it is an
+        instance of (their modules hold ``latency`` and
+        ``evaluate_batch``).  The tokenizer is named, never
+        fingerprinted by its code: a tracing wrapper put in its place
+        holds a C clock, which has no code to fingerprint.  The engines
+        in :mod:`repro.petri` that run the net are not in the key."""
+        from repro.perf.fingerprint import code_reference, workload_key
+
+        iface = self._iface
+        classes = [c for c in type(iface).__mro__ if issubclass(c, PetriNetInterface)]
+        return workload_key(
+            (
+                iface.namespace,
+                iface.sink,
+                iface.epilogue,
+                [code_reference(c) for c in classes],
+                code_reference(iface.tokenize),
+            )
+        )
 
 
 class MemoizedProfiler(Profiler):
     """Never profile the same candidate twice (Jung et al.'s "PR" idea).
 
     Wraps any profiler tier with a content-addressed
-    :class:`repro.perf.EvalCache`: candidates are keyed by their program
-    content, under a namespace naming the tier and its
-    :meth:`~Profiler.fingerprint` (computed once, here), so re-visited
+    :class:`repro.perf.EvalCache`.  A tuning candidate is keyed by its
+    own canonical bytes, the ``(GemmWorkload, Candidate)`` pair, so a
+    hit lowers nothing; a program handed to :meth:`profile` or
+    :meth:`profile_batch` is keyed by its content.  Both namespaces are
+    built once, here: they name the tier and its
+    :meth:`~Profiler.fingerprint`, and the candidate namespace adds the
+    code that lowers a candidate
+    (:func:`~repro.autotune.tuner.lowering_fingerprint`).  So re-visited
     points in a tuning sweep cost a dictionary lookup instead of a
     simulation, and tiers of different configurations sharing one cache
     never answer each other's candidates.  Wall-clock accounting still
     runs, so ``profiling_speedups`` sees the (near-zero) cost of cache
-    hits.
+    hits; a candidate's account covers its lowering when it misses.
     """
 
     def __init__(self, inner: Profiler, cache: "EvalCache | None" = None):
         from repro.perf import EvalCache
+
+        from .tuner import lowering_fingerprint
 
         super().__init__()
         self.inner = inner
         self.cache = cache if cache is not None else EvalCache()
         self.name = f"memoized({inner.name})"
         self._namespace = f"profiler:{inner.name}:{inner.fingerprint()}"
+        self._candidate_namespace = f"{self._namespace}:lowering:{lowering_fingerprint()}"
 
     def _profile(self, program: Program) -> float:
         return self.cache.get_or_compute(
             self._namespace, program, lambda: self.inner._profile(program)
         )
 
-    def _profile_batch(self, programs: list[Program]) -> list[float]:
-        """Look every candidate up first, then batch only the misses
-        through the inner tier — so memoization and batching compose."""
-        return self.cache.get_many(self._namespace, programs, self.inner._profile_batch)
+    def profile_candidates(
+        self, work: GemmWorkload, candidates: Sequence[Candidate]
+    ) -> list[float]:
+        """Look every ``(work, candidate)`` pair up first, then lower only
+        the misses and batch them through the inner tier."""
+        with self._timed(len(candidates)):
+            return self.cache.get_many(
+                self._candidate_namespace,
+                [(work, cand) for cand in candidates],
+                lambda missed: self.inner._profile_batch([c.lower(w) for w, c in missed]),
+            )
 
     def cache_summary(self) -> str:
         """Hit/miss accounting for reports (e.g. the E6 table)."""

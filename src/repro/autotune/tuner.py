@@ -2,7 +2,9 @@
 
 Given a GEMM workload, the tuner searches the space of legal tilings
 (and post-op choices), asking a :class:`~repro.autotune.profilers.Profiler`
-for each candidate's cycles.  Three strategies:
+for each candidate's cycles through
+:meth:`~repro.autotune.profilers.Profiler.profile_candidates`, which
+lowers the candidates it has to profile.  Three strategies:
 
 * :func:`exhaustive_tune` — evaluate every legal tiling.
 * :func:`random_tune` — sample a budget of candidates.
@@ -42,6 +44,18 @@ class Candidate:
         return tiled_gemm_program(work, self.tiling, alu_relu=self.alu_relu)
 
 
+def lowering_fingerprint() -> str:
+    """Identity of the code that lowers a :class:`Candidate`: the class
+    with its module's source (which holds :meth:`Candidate.lower`), and
+    the fingerprint of :func:`tiled_gemm_program` with the code it
+    reaches.  Taken from these definitions, not from ``Candidate.lower``
+    itself, which a tracing tool may replace with a wrapper that has no
+    stable fingerprint."""
+    from repro.perf.fingerprint import callable_fingerprint, code_reference, workload_key
+
+    return workload_key((code_reference(Candidate), callable_fingerprint(tiled_gemm_program)))
+
+
 @dataclass
 class TuneResult:
     """Outcome of one search."""
@@ -69,7 +83,7 @@ def _evaluate(
     # profile it as one batch — interface-backed tiers lower their net
     # once and answer the whole generation in a single engine pass.
     # (anneal_tune stays sequential: each step depends on the last.)
-    all_cycles = profiler.profile_batch([cand.lower(work) for cand in candidates])
+    all_cycles = profiler.profile_candidates(work, candidates)
     history = list(zip(candidates, all_cycles))
     best, best_cycles = min(history, key=lambda h: h[1])
     return TuneResult(
@@ -135,8 +149,9 @@ def anneal_tune(
 
     start_wall = profiler.wall_seconds
     current = space[int(rng.integers(0, len(space)))]
-    current_cycles = profiler.profile(Candidate(current).lower(work))
-    history = [(Candidate(current), current_cycles)]
+    cand = Candidate(current)
+    current_cycles = profiler.profile_candidates(work, [cand])[0]
+    history = [(cand, current_cycles)]
     best, best_cycles = current, current_cycles
 
     temp = initial_temp
@@ -145,8 +160,9 @@ def anneal_tune(
         if not options:
             break
         nxt = options[int(rng.integers(0, len(options)))]
-        cycles = profiler.profile(Candidate(nxt).lower(work))
-        history.append((Candidate(nxt), cycles))
+        cand = Candidate(nxt)
+        cycles = profiler.profile_candidates(work, [cand])[0]
+        history.append((cand, cycles))
         accept = cycles < current_cycles or rng.random() < np.exp(
             -(cycles - current_cycles) / (temp * current_cycles)
         )

@@ -22,15 +22,22 @@ content:
   wrong hit.
 * **Nets** — every place (name, capacity) and transition (arcs, delay,
   guard, servers, priority, timeout, dispatch key) is rendered as text in
-  sorted order.  A delay or guard compiled from ``.pnet`` text is identified by
-  its DSL source (the expression's ``.src``); a Python callable by its
-  bytecode, constants, closure values and defaults, a bound method also
-  by the object it is bound to, and transitively by the globals it
-  names: a helper function by its own fingerprint, a plain-data
-  constant by its canonical bytes, anything else (modules, classes,
-  opaque objects) by module and qualified name.  Editing a formula, a
-  helper it calls or a module constant it reads changes the fingerprint
-  and invalidates the cached results.
+  sorted order.  A delay or guard compiled from ``.pnet`` text is
+  identified by its DSL source (the expression's ``.src``) and the
+  evaluator it runs under (:mod:`repro.petri.dsl`'s source and the
+  names an expression may call); a Python callable by its bytecode,
+  constants, closure values and defaults, a bound method also by the
+  object it is bound to, and transitively by the globals it names: a
+  helper function by its own fingerprint, a plain-data constant by its
+  canonical bytes.  Code reached through a class or a module — one the
+  callable names as a global or is bound to, or the class of any value
+  in its closure, defaults, globals or owner — counts by name plus a
+  digest of its defining module's source (:func:`code_reference`), read
+  once per module per process.  Editing a formula, a helper it calls, a
+  module constant it reads, or any code in a module it reaches through
+  a class or a module changes the fingerprint and invalidates the
+  cached results.  A module without loadable source (builtins, C
+  extensions, code run with ``exec``) counts by name alone.
 
 The pickle stream is hashed, never unpickled.  Bytecode and pickle bytes
 may change between Python versions, which costs a miss, not a wrong hit.
@@ -47,12 +54,14 @@ import enum
 import hashlib
 import io
 import pickle
+import sys
 import types
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import fields, is_dataclass
 from operator import attrgetter
 from typing import Any
 
+from repro.petri import dsl
 from repro.petri.net import PetriNet, Transition
 
 
@@ -95,6 +104,19 @@ class _CanonicalPickler(pickle.Pickler):
         return handler(self, obj)
 
 
+class _CodePickler(_CanonicalPickler):
+    """A canonical pickler that also collects the class of every object
+    it tags: the classes a callable reaches through its values."""
+
+    def __init__(self, file: io.BytesIO, active: set[int], classes: set[type]) -> None:
+        super().__init__(file, active)
+        self.classes = classes
+
+    def reducer_override(self, obj: Any) -> tuple:
+        self.classes.add(type(obj))
+        return super().reducer_override(obj)
+
+
 def canonical_bytes(value: Any) -> bytes:
     """Canonical byte encoding of a workload-feature value.
 
@@ -105,10 +127,16 @@ def canonical_bytes(value: Any) -> bytes:
     return _encode(value, set())
 
 
-def _encode(value: Any, active: set[int]) -> bytes:
+def _encode(value: Any, active: set[int], classes: set[type] | None = None) -> bytes:
+    """:func:`canonical_bytes`; with ``classes``, also collect there the
+    class of every object tagged."""
     buf = io.BytesIO()
+    if classes is None:
+        pickler = _CanonicalPickler(buf, active)
+    else:
+        pickler = _CodePickler(buf, active, classes)
     try:
-        _CanonicalPickler(buf, active).dump(value)
+        pickler.dump(value)
     except (RecursionError, ValueError) as exc:
         # RecursionError: nested past the interpreter's limit (or a cycle
         # through objects); ValueError: the pickler's own cycle check.
@@ -188,15 +216,17 @@ def _code_content(code: types.CodeType) -> tuple:
 def callable_fingerprint(fn: Any) -> str:
     """Content identity for a guard/delay callable.
 
-    DSL-compiled expressions carry their source (``fn.src``); plain Python
-    functions are identified by bytecode + constants + closure values +
-    defaults, plus the globals their code names: helper functions by
-    their own fingerprint (transitively), plain-data values by their
-    canonical bytes, anything else by module and qualified name.  A
-    bound method adds the object it is bound to: a class or module by
-    qualified name, an instance by its canonical bytes (an instance
-    with no stable encoding is rejected).  Builtins / C callables have
-    no inspectable content and are rejected.
+    DSL-compiled expressions carry their source (``fn.src``), keyed with
+    the DSL evaluator's digest; plain Python functions are identified by
+    bytecode + constants + closure values + defaults, plus the globals
+    their code names: helper functions by their own fingerprint
+    (transitively), plain-data values by their canonical bytes.  A
+    bound method adds the object it is bound to: an instance by its
+    canonical bytes (an instance with no stable encoding is rejected).
+    A class or module named as a global or bound to, and the class of
+    every value encoded here, count by :func:`code_reference`: their
+    name plus their defining module's source.  Builtins / C callables
+    have no inspectable content and are rejected.
     """
     return _fingerprint(fn, set())
 
@@ -204,7 +234,7 @@ def callable_fingerprint(fn: Any) -> str:
 def _fingerprint(fn: Any, active: set[int]) -> str:
     src = getattr(fn, "src", None)
     if isinstance(src, str):
-        return f"src:{src}"
+        return f"src:{_dsl_evaluator_digest()}:{src}"
     code = getattr(fn, "__code__", None)
     if code is None:
         raise UncacheableError(
@@ -217,39 +247,50 @@ def _fingerprint(fn: Any, active: set[int]) -> str:
         return f"cycle:{getattr(fn, '__module__', None)}.{getattr(fn, '__qualname__', '')}"
     active.add(ident)
     try:
+        classes: set[type] = set()
         closure = getattr(fn, "__closure__", None) or ()
         owner = getattr(fn, "__self__", None)
         if isinstance(owner, (type, types.ModuleType)):
-            owner = _qualified_name(owner)
+            owner = code_reference(owner)
+        namespace = getattr(fn, "__globals__", {})
         content = (
             code,
             tuple(cell.cell_contents for cell in closure),
             getattr(fn, "__defaults__", None),
             getattr(fn, "__kwdefaults__", None),
-            _globals_content(code, getattr(fn, "__globals__", {}), active),
+            _globals_content(_referenced_names(code), namespace, active, classes),
             owner,
         )
-        return "code:" + hashlib.sha256(_encode(content, active)).hexdigest()
+        digest = hashlib.sha256(_encode(content, active, classes))
+        # The source of every module defining a class the values hold.
+        for module in sorted({cls.__module__ for cls in classes}):
+            source = _module_digest(module)
+            if source:
+                digest.update(f"\n{module}@{source}".encode())
+        return "code:" + digest.hexdigest()
     finally:
         active.discard(ident)
 
 
-def _globals_content(code: types.CodeType, namespace: dict, active: set[int]) -> tuple:
-    """What the globals named by ``code`` (and its nested code) hold."""
+def _globals_content(
+    names: Iterable[str], namespace: dict, active: set[int], classes: set[type] | None
+) -> tuple:
+    """What the globals ``names`` hold in ``namespace`` (names it lacks,
+    builtins and attribute names, are skipped)."""
     out = []
-    for name in _referenced_names(code):
-        if name not in namespace:  # a builtin or an attribute name
+    for name in names:
+        if name not in namespace:
             continue
         value = namespace[name]
         if isinstance(value, types.FunctionType):
             entry = _fingerprint(value, active)
         elif isinstance(value, (type, types.ModuleType)):
-            entry = _qualified_name(value)
+            entry = code_reference(value)
         else:
             try:
-                entry = _encode(value, active)
+                entry = _encode(value, active, classes)
             except UncacheableError:
-                entry = _qualified_name(value)
+                entry = code_reference(value)
         out.append((name, entry))
     return tuple(out)
 
@@ -262,11 +303,59 @@ def _referenced_names(code: types.CodeType) -> dict[str, None]:
     return names
 
 
-def _qualified_name(value: Any) -> str:
+def code_reference(value: Any) -> str:
+    """A module, class or function by its module and qualified name (any
+    other object by its class's), plus a digest of its defining module's
+    source when that module has one: the code reached through it, its
+    methods, attributes and functions, then counts in the key however it
+    is reached."""
     if isinstance(value, types.ModuleType):
-        return f"module:{value.__name__}"
-    owner = value if hasattr(value, "__qualname__") else type(value)
-    return f"ref:{getattr(owner, '__module__', None)}.{owner.__qualname__}"
+        module, ref = value.__name__, f"module:{value.__name__}"
+    else:
+        owner = value if hasattr(value, "__qualname__") else type(value)
+        module = getattr(owner, "__module__", None)
+        ref = f"ref:{module}.{owner.__qualname__}"
+    source = _module_digest(module) if isinstance(module, str) else ""
+    return f"{ref}@{source}" if source else ref
+
+
+#: SHA-256 of each imported module's source ("" without loadable source).
+_MODULE_DIGESTS: dict[str, str] = {}
+
+
+def _module_digest(name: str) -> str:
+    """SHA-256 of module ``name``'s source, read once per process; "" for
+    a module with no loadable source (builtins, C extensions, code run
+    with ``exec``), or when no module of that name is imported."""
+    digest = _MODULE_DIGESTS.get(name)
+    if digest is None:
+        module = sys.modules.get(name)
+        try:
+            source = module.__loader__.get_source(name)
+        except (AttributeError, ImportError, OSError, ValueError):
+            source = None
+        digest = hashlib.sha256(source.encode()).hexdigest() if source else ""
+        if module is not None:
+            _MODULE_DIGESTS[name] = digest
+    return digest
+
+
+#: The DSL bindings the evaluator digest was taken for, and that digest.
+_DSL_EVALUATOR: list[Any] = [None, ""]
+
+
+def _dsl_evaluator_digest() -> str:
+    """Digest of the evaluator every ``.pnet`` expression runs under:
+    :mod:`repro.petri.dsl`'s source and the names an expression may call
+    (its ``_SAFE_GLOBALS``).  Taken again only when a binding changes, so
+    keying a DSL expression stays a lookup."""
+    bound = dsl._SAFE_GLOBALS
+    items = tuple(bound.items())
+    if items != _DSL_EVALUATOR[0]:
+        names = _globals_content(bound, bound, set(), None)
+        text = _module_digest(dsl.__name__).encode() + _encode(names, set())
+        _DSL_EVALUATOR[:] = [items, hashlib.sha256(text).hexdigest()]
+    return _DSL_EVALUATOR[1]
 
 
 def _transition_lines(t: Transition) -> list[str]:
@@ -277,7 +366,7 @@ def _transition_lines(t: Transition) -> list[str]:
     go stale if a transition is mutated after parsing.  (DSL-compiled
     expression callables carry their own ``.src``, which
     :func:`callable_fingerprint` prefers, so ``.pnet`` nets still key on
-    source text, not bytecode.)
+    source text and the DSL evaluator, not bytecode.)
     """
     delay = (
         callable_fingerprint(t.delay)
@@ -310,8 +399,9 @@ def net_fingerprint(net: PetriNet) -> str:
     """SHA-256 hex digest of the net's performance-relevant content.
 
     Stable across processes; changes whenever any structural element,
-    any delay/guard formula, or any helper or module constant such a
-    formula names changes.  Simulation *state* (markings, busy counts,
+    any delay/guard formula, any helper or module constant such a
+    formula names, or the source of a module it reaches through a class
+    or a module changes.  Simulation *state* (markings, busy counts,
     statistics) is deliberately excluded — the simulator resets it at
     the start of every run, so it cannot affect results.
     """

@@ -15,7 +15,9 @@ from repro.accel.vta import (
     Module,
     Opcode,
     Program,
+    TickVtaSimulator,
     Tiling,
+    VtaModel,
     assert_valid,
     from_text,
     legal_tilings,
@@ -26,6 +28,7 @@ from repro.accel.vta import (
     validate,
 )
 from repro.autotune import Candidate
+from repro.hw.kernel import SimError
 from repro.perf.cache import workload_key
 from repro.perf.fingerprint import canonical_bytes
 
@@ -265,6 +268,18 @@ class TestAssembler:
             (Instruction(Opcode.LOAD, buffer=Buffer.INP, size=64, pop_prev=True),)
         )
         assert any("no 'prev' queue" in p for p in validate(prog))
+
+    @pytest.mark.parametrize("simulator", [VtaModel, TickVtaSimulator])
+    def test_simulators_reject_flags_their_module_does_not_wire(self, simulator):
+        """A flag the module does not wire names no queue: both
+        simulators refuse the program with the assembler's message,
+        rather than run it with the flag ignored."""
+        prog = Program(
+            (Instruction(Opcode.LOAD, buffer=Buffer.INP, size=64, pop_prev=True),)
+        )
+        assert validate(prog) == ["insn 0: load module has no 'prev' queue"]
+        with pytest.raises(SimError, match="insn 0: load module has no 'prev' queue"):
+            simulator().run(prog)
 
     def test_validate_finish_placement(self):
         prog = Program((Instruction(Opcode.FINISH), gemm(push_prev=True)))

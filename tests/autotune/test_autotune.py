@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import repro.perf.cache as cache_module
 from repro.accel.vta import GemmWorkload, Instruction, VtaConfig, legal_tilings, random_programs
 from repro.accel.vta.interfaces import petri_interface
 from repro.autotune import (
@@ -63,17 +64,23 @@ class TestProfilers:
     )
     def test_memoized_tiers_of_two_configs_share_one_cache(self, tier):
         """Each config's memoized tier answers with its own cycles, one
-        candidate at a time and in a batch, never with the other's."""
+        program at a time, in a batch and by candidate, never with the
+        other's."""
         work = GemmWorkload(4, 8, 4)
-        program = Candidate(legal_tilings(work)[0]).lower(work)
+        candidate = Candidate(legal_tilings(work)[0])
+        program = candidate.lower(work)
         base = VtaConfig()
         configs = (base, replace(base, gemm_setup=4 * base.gemm_setup + 10))
         direct = [tier(config).profile(program) for config in configs]
         assert direct[0] != direct[1]
-        single, batched = EvalCache(), EvalCache()
+        single, batched, by_candidate = EvalCache(), EvalCache(), EvalCache()
         assert [MemoizedProfiler(tier(c), single).profile(program) for c in configs] == direct
         assert [
             MemoizedProfiler(tier(c), batched).profile_batch([program])[0] for c in configs
+        ] == direct
+        assert [
+            MemoizedProfiler(tier(c), by_candidate).profile_candidates(work, [candidate])[0]
+            for c in configs
         ] == direct
 
     def test_roofline_is_cheap_and_rough(self):
@@ -197,3 +204,40 @@ def test_vta_lowering_builds_each_instruction_once(monkeypatch):
     assert len(programs) == 159
     assert sum(len(p) for p in programs) == 15_878
     assert built == 15_878
+
+
+SEARCHES = {
+    "exhaustive": exhaustive_tune,
+    "random": lambda work, prof: random_tune(work, prof, budget=6, seed=3),
+    "anneal": lambda work, prof: anneal_tune(work, prof, steps=12, seed=3),
+}
+
+
+@pytest.mark.parametrize("search", sorted(SEARCHES))
+def test_a_warm_tune_lowers_nothing(search, monkeypatch):
+    """A memoized tier keys each candidate, not its lowered program: a
+    cold search lowers each miss once, and the same search again lowers
+    nothing and derives one workload key per candidate."""
+    lowered, keyed = [], []
+    lower, key = Candidate.lower, cache_module.workload_key
+
+    def counted_lower(self, work):
+        lowered.append(self)
+        return lower(self, work)
+
+    def counted_key(features):
+        keyed.append(features)
+        return key(features)
+
+    monkeypatch.setattr(Candidate, "lower", counted_lower)
+    monkeypatch.setattr(cache_module, "workload_key", counted_key)
+    memo = MemoizedProfiler(PetriProfiler())
+    cold = SEARCHES[search](WORK, memo)
+    assert len(keyed) == cold.trials
+    assert len(lowered) == len(set(lowered)) == memo.cache.stats.misses
+    lowered.clear()
+    keyed.clear()
+    warm = SEARCHES[search](WORK, memo)
+    assert lowered == []
+    assert len(keyed) == warm.trials
+    assert warm.history == cold.history

@@ -3,6 +3,7 @@
 import copy
 import enum
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -432,11 +433,30 @@ def test_bound_method_formula_keys_on_its_instance():
         net_fingerprint(net_with_delay(Opaque().cost))
 
 
-CACHED_RUN = """
+PERSISTED_RUN = """
 import sys
 sys.dont_write_bytecode = True
 sys.path[:0] = [{src!r}, {modules!r}]
 from repro.perf import EvalCache
+
+cache = EvalCache({path!r})
+{body}
+print(cache.stats.hits, cache.stats.misses, value)
+"""
+
+#: Looks up the makespan of ``net`` for one token.
+NET_LOOKUP = """
+def compute():
+    sim = Simulator(net, sinks=["out"])
+    sim.inject_stream("in", [{"x": 1}])
+    return sim.run().makespan()
+
+
+value = cache.get_or_compute(net, {"items": 1}, compute)
+"""
+
+#: A one-transition net whose delay is ``helpers.delay``.
+HELPER_NET = """
 from repro.petri import PetriNet, Simulator
 import helpers
 
@@ -444,42 +464,217 @@ net = PetriNet("edited")
 net.add_place("in")
 net.add_place("out")
 net.add_transition("t", ["in"], ["out"], delay=helpers.delay)
+""" + NET_LOOKUP
 
+#: A ``.pnet`` net whose delay calls a DSL binding, after ``helpers.bind``
+#: has had its say over the bindings.
+DSL_NET = """
+from repro.petri import Simulator, dsl, parse
+import helpers
 
-def compute():
-    sim = Simulator(net, sinks=["out"])
-    sim.inject_stream("in", [{{"x": 1}}])
-    return sim.run().makespan()
+helpers.bind(dsl._SAFE_GLOBALS)
+net = parse(
+    "net dsl\\nplace in\\nplace out\\n"
+    "transition t\\n  consume in\\n  produce out\\n  delay expr: ceil(tok['x'] * 1.5)\\n"
+)
+""" + NET_LOOKUP
 
+#: A VTA program's cycles through a memoized ``helpers.profiler()``.
+PROFILED_PROGRAM = """
+from repro.accel.vta import GemmWorkload, Tiling, tiled_gemm_program
+from repro.autotune import MemoizedProfiler
+import helpers
 
-cache = EvalCache({path!r})
-value = cache.get_or_compute(net, {{"items": 1}}, compute)
-print(cache.stats.hits, cache.stats.misses, value)
+program = tiled_gemm_program(GemmWorkload(4, 4, 4), Tiling(2, 2, 2))
+value = MemoizedProfiler(helpers.profiler(), cache).profile(program)
+"""
+
+#: A tuning candidate's cycles through a memoized Petri-net tier.
+PROFILED_CANDIDATE = """
+from repro.accel.vta import GemmWorkload, Tiling
+from repro.autotune import Candidate, MemoizedProfiler, PetriProfiler
+
+memo = MemoizedProfiler(PetriProfiler(), cache)
+value = memo.profile_candidates(GemmWorkload(4, 4, 4), [Candidate(Tiling(2, 2, 2))])[0]
 """
 
 
-def test_helper_edit_misses_the_persistent_tier(tmp_path: Path):
-    """A process that edits a delay's helper (or a constant it reads)
-    must not be served the latency cached before the edit."""
+def persisted_runs(tmp_path: Path, body: str, src: Path = Path("src")):
+    """``run(**sources)``: write each named module's source into an
+    importable directory, then run ``body`` in a fresh process over one
+    persistent cache file; returns its ``(hits, misses, value)``."""
     modules = tmp_path / "modules"
-    modules.mkdir()
-    script = CACHED_RUN.format(
-        src=str(Path("src").resolve()),
+    modules.mkdir(exist_ok=True)
+    script = PERSISTED_RUN.format(
+        src=str(src.resolve()),
         modules=str(modules),
         path=str(tmp_path / "evals.jsonl"),
+        body=body,
     )
 
-    def run(scale, extra=""):
-        (modules / "helpers.py").write_text(HELPERS.format(scale=scale, extra=extra))
+    def run(**sources: str) -> tuple[int, int, float]:
+        for name, text in sources.items():
+            (modules / f"{name}.py").write_text(text)
         out = subprocess.run(
             [sys.executable, "-B", "-c", script], capture_output=True, text=True, check=True
         ).stdout.split()
         return int(out[0]), int(out[1]), float(out[2])
 
-    assert run(2.0) == (0, 1, 2.0)
-    assert run(2.0) == (1, 0, 2.0)  # unchanged code: served from disk
-    assert run(2.0, extra=" + 1") == (0, 1, 3.0)  # helper body edited
-    assert run(5.0, extra=" + 1") == (0, 1, 6.0)  # module constant edited
+    return run
+
+
+def test_helper_edit_misses_the_persistent_tier(tmp_path: Path):
+    """A process that edits a delay's helper (or a constant it reads)
+    must not be served the latency cached before the edit."""
+    run = persisted_runs(tmp_path, HELPER_NET)
+    assert run(helpers=HELPERS.format(scale=2.0, extra="")) == (0, 1, 2.0)
+    assert run() == (1, 0, 2.0)  # unchanged code: served from disk
+    assert run(helpers=HELPERS.format(scale=2.0, extra=" + 1")) == (0, 1, 3.0)  # helper body
+    assert run(helpers=HELPERS.format(scale=5.0, extra=" + 1")) == (0, 1, 6.0)  # constant
+
+
+CLOSURE_HELPERS = """
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class Rate:
+    per_item: float
+
+    def cost(self, n):
+        return n * self.per_item{extra}
+
+
+def make_delay(rate):
+    def delay(consumed):
+        return rate.cost(len(consumed["in"]))
+
+    return delay
+
+
+delay = make_delay(Rate(2.0))
+"""
+
+MODULE_HELPERS = """
+import scales
+
+
+def delay(consumed):
+    return scales.cost(len(consumed["in"]))
+"""
+
+SCALES = """
+def cost(n):
+    return n * 2.0{extra}
+"""
+
+CLASS_HELPERS = """
+class Config:
+    SCALE = {scale}
+
+
+def delay(consumed):
+    return len(consumed["in"]) * Config.SCALE
+"""
+
+BIND_HELPERS = """
+def bind(names):
+    {rebind}
+"""
+
+TOKENIZER_HELPERS = """
+from repro.accel.vta.interfaces import tokenize_program
+from repro.autotune import PetriProfiler
+
+
+def tokenize(program):
+    return [(place, payload, at * {scale}) for place, payload, at in tokenize_program(program)]
+
+
+def profiler():
+    tier = PetriProfiler()
+    tier._iface.tokenize = tokenize
+    return tier
+"""
+
+#: Code an answer depends on, reached other than as a global function or
+#: constant: gap -> (script body, module sources, the same after an edit).
+CODE_EDITS = {
+    "method-of-a-closure-value": (
+        HELPER_NET,
+        {"helpers": CLOSURE_HELPERS.format(extra="")},
+        {"helpers": CLOSURE_HELPERS.format(extra=" + 1")},
+    ),
+    "function-of-a-module-attribute": (
+        HELPER_NET,
+        {"helpers": MODULE_HELPERS, "scales": SCALES.format(extra="")},
+        {"scales": SCALES.format(extra=" + 1")},
+    ),
+    "class-attribute": (
+        HELPER_NET,
+        {"helpers": CLASS_HELPERS.format(scale=2.0)},
+        {"helpers": CLASS_HELPERS.format(scale=5.0)},
+    ),
+    "dsl-binding": (
+        DSL_NET,
+        {"helpers": BIND_HELPERS.format(rebind="pass")},
+        {"helpers": BIND_HELPERS.format(rebind='names["ceil"] = names["floor"]')},
+    ),
+    "tokenizer": (
+        PROFILED_PROGRAM,
+        {"helpers": TOKENIZER_HELPERS.format(scale=1)},
+        {"helpers": TOKENIZER_HELPERS.format(scale=2)},
+    ),
+}
+
+
+@pytest.mark.parametrize("gap", sorted(CODE_EDITS))
+def test_code_edit_misses_the_persistent_tier(gap, tmp_path: Path):
+    """Each way an answer reaches code — a method of a value a formula
+    closes over, a function of a module it names, a class attribute, a
+    DSL binding, a profiler tier's tokenizer — is in the key: after an
+    edit of that code, a fresh process misses and computes the new
+    answer instead of being served the old one."""
+    body, before, after = CODE_EDITS[gap]
+    run = persisted_runs(tmp_path, body)
+    hits, misses, value = run(**before)
+    assert (hits, misses) == (0, 1)
+    assert run() == (1, 0, value)  # unchanged code: served from disk
+    hits, misses, edited = run(**after)
+    assert (hits, misses) == (0, 1) and edited != value
+
+
+#: Edits of the code between a tuning candidate and its cycles, in the
+#: order applied: its lowering, then the interface class that answers.
+CANDIDATE_CODE_EDITS = [
+    ("accel/vta/workload.py", "iterations=BLOCK,", "iterations=2 * BLOCK,"),
+    ("autotune/tuner.py", "alu_relu=self.alu_relu)", "alu_relu=not self.alu_relu)"),
+    ("core/petrinet.py", "makespan + self.epilogue for", "makespan + self.epilogue + 1 for"),
+]
+
+
+def test_candidate_code_edit_misses_the_persistent_tier(tmp_path: Path):
+    """A memoized tier keys a tuning candidate, not its lowered program,
+    so an edit of the lowering (``tiled_gemm_program``, or
+    ``Candidate.lower`` in the tuner) or of the Petri-net interface
+    class that answers (``PetriNetInterface.evaluate_batch``) must miss
+    in a fresh process."""
+    src = tmp_path / "src"
+    shutil.copytree(
+        Path("src/repro"), src / "repro", ignore=shutil.ignore_patterns("__pycache__")
+    )
+    run = persisted_runs(tmp_path, PROFILED_CANDIDATE, src=src)
+    hits, misses, value = run()
+    assert (hits, misses) == (0, 1)
+    assert run() == (1, 0, value)
+    for path, old, new in CANDIDATE_CODE_EDITS:
+        module = src / "repro" / path
+        text = module.read_text()
+        assert text.count(old) == 1
+        module.write_text(text.replace(old, new))
+        hits, misses, edited = run()
+        assert (hits, misses) == (0, 1) and edited != value
+        value = edited
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,9 @@ from repro.accel.protoacc import interfaces as protoacc
 from repro.accel.protoacc.message import Field, FieldKind, Message
 from repro.accel.vta import interfaces as vta
 from repro.accel.vta.workload import GemmWorkload, Tiling, random_programs, tiled_gemm_program
+from repro.autotune import Candidate, MemoizedProfiler, PetriProfiler
 from repro.perf import EvalCache
+from repro.petri import dsl
 
 IMAGE = JpegImage(
     16,
@@ -76,12 +78,21 @@ WORKLOAD_KEYS = {
 #: The full store key, for the nets written as ``.pnet`` text: their
 #: fingerprint is DSL source, the same on every Python version.  (The
 #: VTA net's guards are Python closures, fingerprinted by bytecode.)
+#: A DSL expression also keys on the DSL evaluator, the source of
+#: ``repro/petri/dsl.py`` and the names it binds, so any edit of that
+#: file moves the keys of the nets with expressions (all but bitcoin's,
+#: whose delays are constants).
 STORE_KEYS = {
-    "jpeg": "b3fad40adac71eeb954f441d186848c4be655f50128b28f62e890f64e0ed5998",
-    "protoacc": "c210383c854b8f0b06c2db3a731f5a835b15ab6b738ffb24cecaa0400c1c4a86",
-    "optimusprime": "b506d0f8ba17c080de23fc3168f19b43cdbd08fbcd67bc718636bc7a4498c40b",
+    "jpeg": "7591491bba62cba2bff58b40e29389077772e8b9bf267665f03641809b04cd5d",
+    "protoacc": "d9b06bd5ec24d12fd9016fc6fe5d253bbfead5363358c892710225d044edbb81",
+    "optimusprime": "6efe7b84891eb4fcfbb5cf72d252614410bcb8dc4a906bdb91ff5ba557fe0f23",
     "bitcoin": "0d3608c0788b927ddfad743331c300b57248512beec2a08a96c7babdcd59723a",
 }
+
+#: SHA-256 of a tuning candidate's features, ``(GemmWorkload, Candidate)``
+#: (227 canonical bytes of dataclasses, ints and a bool: the same on
+#: every Python version), as a memoized tier keys it.
+CANDIDATE_KEY = "6e024f35b1ac86fb802a7098219eee0f81533636ca5ea2866443f3943cc48926"
 
 
 def evaluate(iface, item, what: str) -> None:
@@ -157,9 +168,22 @@ def test_a_cold_batch_computes_one_key_per_item(all_key_spies):
     assert len(iface.cache) == len(images)
 
 
-def test_a_cold_memoized_batch_computes_one_key_per_candidate(key_spies):
-    from repro.autotune.profilers import MemoizedProfiler, PetriProfiler
+def test_candidate_key_is_pinned(key_spies):
+    memo = MemoizedProfiler(PetriProfiler())
+    memo.profile_candidates(GemmWorkload(4, 4, 4), [Candidate(Tiling(2, 2, 2))])
+    assert key_spies["workload_key"] == [CANDIDATE_KEY]
 
+
+def test_a_dsl_binding_is_in_the_net_fingerprint(monkeypatch):
+    """Every ``.pnet`` expression keys on the names the DSL binds: after
+    rebinding one, the JPEG net fingerprints differently."""
+    before = fingerprint_module.net_fingerprint(jpeg.petri_interface().net)
+    assert fingerprint_module.net_fingerprint(jpeg.petri_interface().net) == before
+    monkeypatch.setitem(dsl._SAFE_GLOBALS, "max", min)
+    assert fingerprint_module.net_fingerprint(jpeg.petri_interface().net) != before
+
+
+def test_a_cold_memoized_batch_computes_one_key_per_candidate(key_spies):
     programs = random_programs(seed=13, count=5, max_dim=8)
     memo = MemoizedProfiler(PetriProfiler())
     first = memo.profile_batch(programs)
