@@ -10,10 +10,12 @@ deliberately abstracts detail: see DESIGN.md §6 for what each omits.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.nl import EnglishInterface, PerformanceStatement, Relation
 from repro.core.petrinet import PetriNetInterface
 from repro.core.program import ProgramInterface
-from repro.petri import parse
+from repro.petri import TokenColumns, parse
 
 from .workload import HEADER_BYTES, JpegImage
 
@@ -111,19 +113,17 @@ HEADER_PARSE = 150.0
 EOI_FLUSH = 8.0
 
 
-def tokenize_image(img: JpegImage) -> list[tuple[str, dict, float]]:
-    """One ``(place, payload, at)`` token per 8x8 block, available after
-    the header parse."""
-    n = img.n_blocks
-    sizes, nnzs = img.coded_bytes.tolist(), img.nnz.tolist()
-    return [
-        (
-            "in",
-            {"i": i, "bytes": sizes[i], "nnz": nnzs[i], "wr": (i + 1) % 4 == 0 or i == n - 1},
-            HEADER_PARSE,
-        )
-        for i in range(n)
-    ]
+def tokenize_image(img: JpegImage) -> TokenColumns:
+    """One token per 8x8 block, available after the header parse, in
+    column form: the block index ``i``, the image's own ``coded_bytes``
+    and ``nnz`` arrays, and the writeback flag ``wr`` (every fourth block
+    and the last)."""
+    i = np.arange(img.n_blocks)
+    wr = (i + 1) % 4 == 0
+    wr[-1:] = True
+    return TokenColumns(
+        "in", HEADER_PARSE, {"i": i, "bytes": img.coded_bytes, "nnz": img.nnz, "wr": wr}
+    )
 
 
 def petri_interface() -> PetriNetInterface[JpegImage]:

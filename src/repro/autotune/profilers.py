@@ -98,13 +98,21 @@ class Profiler(abc.ABC):
         """Content identity of this tier's answers: two tiers of one
         name with equal fingerprints report equal cycles for every
         candidate.  The default hashes the canonical bytes of the
-        tier's :class:`VtaConfig` (``self.config``): the model, tick and
-        roofline tiers answer from their config and their own code,
-        which the key does not cover.  A tier that answers from anything
-        else overrides it."""
-        from repro.perf.fingerprint import workload_key
+        tier's :class:`VtaConfig` (``self.config``) and, each as a
+        :func:`~repro.perf.fingerprint.code_reference` (name plus
+        defining module's source), the code it answers from
+        (:meth:`answers_from`): the model, tick and roofline tiers answer
+        from their config and that code.  Code those modules import is
+        not covered.  A tier that answers from anything else overrides
+        it."""
+        from repro.perf.fingerprint import code_reference, workload_key
 
-        return workload_key(self.config)
+        return workload_key((self.config, [code_reference(c) for c in self.answers_from()]))
+
+    def answers_from(self) -> tuple:
+        """The classes and functions whose code computes this tier's
+        answers (what the default :meth:`fingerprint` names)."""
+        return ()
 
 
 class CycleAccurateProfiler(Profiler):
@@ -120,6 +128,10 @@ class CycleAccurateProfiler(Profiler):
     def _profile(self, program: Program) -> float:
         return self._sim.run(program).cycles
 
+    def answers_from(self) -> tuple:
+        # The tick simulator takes GEMM service times from the event model.
+        return (TickVtaSimulator, VtaModel)
+
 
 class EventModelProfiler(Profiler):
     """Event-driven ground truth (same timing as cycle-accurate)."""
@@ -133,6 +145,9 @@ class EventModelProfiler(Profiler):
 
     def _profile(self, program: Program) -> float:
         return self._model.run(program).cycles
+
+    def answers_from(self) -> tuple:
+        return (VtaModel,)
 
 
 class PetriProfiler(Profiler):
@@ -152,18 +167,19 @@ class PetriProfiler(Profiler):
         return self._iface.evaluate_batch(programs)
 
     def fingerprint(self) -> str:
-        """What lies between a program and its cycles, short of the
-        Petri engines: the interface's
+        """What lies between a program and its cycles: the interface's
         :attr:`~repro.core.petrinet.PetriNetInterface.namespace` (its
         net), its sink and epilogue, and, each as a
         :func:`~repro.perf.fingerprint.code_reference` (name plus
         defining module's source), its tokenizer and every
         :class:`~repro.core.petrinet.PetriNetInterface` class it is an
         instance of (their modules hold ``latency`` and
-        ``evaluate_batch``).  The tokenizer is named, never
-        fingerprinted by its code: a tracing wrapper put in its place
-        holds a C clock, which has no code to fingerprint.  The engines
-        in :mod:`repro.petri` that run the net are not in the key."""
+        ``evaluate_batch``).  The namespace covers the engines in
+        :mod:`repro.petri` that run the net
+        (:data:`~repro.perf.fingerprint.ENGINE_MODULES`).  The tokenizer
+        is named, never fingerprinted by its code: a tracing wrapper put
+        in its place holds a C clock, which has no code to
+        fingerprint."""
         from repro.perf.fingerprint import code_reference, workload_key
 
         iface = self._iface
@@ -243,6 +259,9 @@ class RooflineProfiler(Profiler):
 
     def _profile(self, program: Program) -> float:
         return latency_vta_roofline(program, self.config)
+
+    def answers_from(self) -> tuple:
+        return (latency_vta_roofline,)
 
 
 @dataclass(frozen=True)

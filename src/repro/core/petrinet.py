@@ -21,6 +21,7 @@ from repro.petri import (
     CompiledNet,
     PetriNet,
     SimResult,
+    TokenColumns,
     make_simulator,
 )
 
@@ -32,8 +33,13 @@ if TYPE_CHECKING:
 ItemT = TypeVar("ItemT")
 
 #: One workload item's tokens: ``(place, payload, at)`` triples, as plain
-#: tuples or :class:`Injection` objects alike.
-Tokens = Sequence[tuple[str, Any, float]]
+#: tuples or :class:`Injection` objects alike, or a
+#: :class:`~repro.petri.TokenColumns` when every token enters one place
+#: at one time with the same payload fields (per-field arrays; iterating
+#: it yields the triples).  The codegen batch engine reads column items'
+#: arrays without building a payload per token, and a cache keys them by
+#: their arrays' bytes.
+Tokens = Sequence[tuple[str, Any, float]] | TokenColumns
 
 
 class Injection(NamedTuple):
@@ -117,6 +123,17 @@ def exact_residual(prefix: list[float], total: float) -> float:
     return residual
 
 
+def _features(kind: str, expected: int, injections: Tokens) -> tuple:
+    """The cache features of one run of ``kind`` (``"makespan"`` or
+    ``"stages"``): a :class:`~repro.petri.TokenColumns` keys by itself,
+    its arrays' bytes; triples key as plain tuples (``tuple()`` turns an
+    :class:`Injection` into the triple it spells, so both forms key
+    alike)."""
+    if type(injections) is TokenColumns:
+        return (kind, expected, injections)
+    return (kind, expected, list(map(tuple, injections)))
+
+
 class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
     """Runs a performance-IR net over workload items.
 
@@ -130,7 +147,9 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
             interface evaluated without a cache, then mutated, then given
             one keys its old net's answers under the new net's fingerprint.
         tokenize: Maps a workload item to the tokens to inject, as
-            ``(place, payload, at)`` tuples or :class:`Injection` objects.
+            ``(place, payload, at)`` tuples or :class:`Injection` objects,
+            or as one :class:`~repro.petri.TokenColumns` (see
+            :data:`Tokens`).
         sink: Place whose completions mark finished work.
         epilogue: Fixed cycles appended after the last completion
             (drain/flush the net does not model).
@@ -139,7 +158,7 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
             with resident bookkeeping tokens (mutexes, credits) override
             this, since those legitimately remain after quiescence.
         cache: Optional :class:`repro.perf.EvalCache`: each item's
-            makespan is stored under its (:attr:`namespace`, injections)
+            makespan is stored under its (:attr:`namespace`, tokens)
             key, so a repeated item — through :meth:`latency` or
             :meth:`evaluate_batch` alike — is answered without running
             the net.  May also be attached later by assigning to
@@ -256,9 +275,7 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
         if self.cache is None:
             makespan, pairs = harvest()
         else:
-            # tuple() turns an Injection into the plain triple it spells,
-            # so both forms key alike.
-            features = ("stages", expected, list(map(tuple, injections)))
+            features = _features("stages", expected, injections)
             makespan, pairs = self.cache.get_or_compute(self.namespace, features, harvest)
         per_transition = {str(n): float(c) for n, c in pairs}
         total = makespan + self.epilogue
@@ -318,7 +335,7 @@ class PetriNetInterface(PerformanceInterface[ItemT], Generic[ItemT]):
         else:
             makespans = self.cache.get_many(
                 self.namespace,
-                (("makespan", n, list(map(tuple, injs))) for injs, n in runs),
+                (_features("makespan", n, injs) for injs, n in runs),
                 lambda missed: self._makespans([(tokens, n) for _, n, tokens in missed]),
             )
         return [makespan + self.epilogue for makespan in makespans]

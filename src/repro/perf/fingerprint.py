@@ -33,11 +33,13 @@ content:
   callable names as a global or is bound to, or the class of any value
   in its closure, defaults, globals or owner — counts by name plus a
   digest of its defining module's source (:func:`code_reference`), read
-  once per module per process.  Editing a formula, a helper it calls, a
-  module constant it reads, or any code in a module it reaches through
-  a class or a module changes the fingerprint and invalidates the
-  cached results.  A module without loadable source (builtins, C
-  extensions, code run with ``exec``) counts by name alone.
+  once per module per process.  So do the engine modules that run
+  every net (:data:`ENGINE_MODULES`).  Editing a formula, a helper it
+  calls, a module constant it reads, any code in a module it reaches
+  through a class or a module, or an engine changes the fingerprint and
+  invalidates the cached results.  A module without loadable source
+  (builtins, C extensions, code run with ``exec``) counts by name
+  alone.
 
 The pickle stream is hashed, never unpickled.  Bytecode and pickle bytes
 may change between Python versions, which costs a miss, not a wrong hit.
@@ -61,7 +63,7 @@ from dataclasses import fields, is_dataclass
 from operator import attrgetter
 from typing import Any
 
-from repro.petri import dsl
+from repro.petri import batched, compiled, dsl, simulate
 from repro.petri.net import PetriNet, Transition
 
 
@@ -395,17 +397,26 @@ def _transition_lines(t: Transition) -> list[str]:
     return lines
 
 
+#: The engine modules that compute every answer of a net: the reference
+#: and compiled simulators and the batch engines (with the array lowering
+#: of ``expr:`` delays).
+ENGINE_MODULES = (simulate, compiled, batched)
+
+
 def net_fingerprint(net: PetriNet) -> str:
     """SHA-256 hex digest of the net's performance-relevant content.
 
     Stable across processes; changes whenever any structural element,
     any delay/guard formula, any helper or module constant such a
-    formula names, or the source of a module it reaches through a class
-    or a module changes.  Simulation *state* (markings, busy counts,
-    statistics) is deliberately excluded — the simulator resets it at
-    the start of every run, so it cannot affect results.
+    formula names, the source of a module it reaches through a class
+    or a module, or the source of an engine that runs it
+    (:data:`ENGINE_MODULES`, by :func:`code_reference`) changes.
+    Simulation *state* (markings, busy counts, statistics) is
+    deliberately excluded — the simulator resets it at the start of
+    every run, so it cannot affect results.
     """
     lines = [f"net {net.name}"]
+    lines.extend(f"engine {code_reference(module)}" for module in ENGINE_MODULES)
     for name in sorted(net.places):
         place = net.places[name]
         lines.append(f"place {name} capacity={place.capacity}")

@@ -47,6 +47,7 @@ from .batched import (
     BATCH_ENGINES,
     BatchEvaluator,
     BatchItemResult,
+    TokenColumns,
     chain_spec,
     chain_unsupported_reasons,
     codegen_supported,
@@ -93,6 +94,7 @@ __all__ = [
     "Simulator",
     "StructureReport",
     "Token",
+    "TokenColumns",
     "Transition",
     "add_bounded_stage",
     "add_fcfs_port",

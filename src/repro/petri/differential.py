@@ -35,13 +35,23 @@ Case families:
   a firing that enables a sibling's producer within its round, and places
   listed twice on one side of a transition.
 * :func:`batch_cases` — batched-vs-compiled matrices over every
-  accelerator net, seeded random chains (codegen coverage), the random
-  structural and keyed nets above (columnar coverage), and hand-picked edge items
-  (zero/negative callable delays, empty items, mid-chain injections,
-  unknown places).  Every matrix runs in each form a tokenizer may
-  return (see :func:`item_forms`), and :func:`check_token_payload_routing`
-  adds items whose payloads are already :class:`~repro.petri.token.Token`
+  accelerator net, seeded random chains with callable and with ``expr:``
+  delays (codegen coverage), the random structural and keyed nets above
+  (columnar coverage), and hand-picked edge items (zero/negative
+  callable delays, empty items, mid-chain injections, unknown places).
+  Every matrix runs in each form a tokenizer may return as triples (see
+  :func:`item_forms`), and :func:`check_token_payload_routing` adds
+  items whose payloads are already :class:`~repro.petri.token.Token`
   objects.
+* Column items — a chain matrix whose items each share one place and
+  one time also runs as :class:`~repro.petri.batched.TokenColumns`
+  (the accelerator chains, the ``expr:`` chains), and
+  :func:`column_edge_cases` adds column items at the edges of the array
+  lowering (bad delays in either order, NaN, a missing field, calls and
+  ``toks``, ints past 2**53, column kinds, empty items, a non-chain net,
+  seeded random expressions).  :func:`compare_column_items` checks each
+  against its own triples on every batch engine and counts the items
+  that ran the codegen recurrence over delay lists.
 
 Every keyed case additionally runs through :func:`check_key_contract`,
 which watches the reference engine for a guard accepting a head token
@@ -61,8 +71,11 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
-from .batched import BatchEvaluator, BatchItemResult, codegen_supported
+import numpy as np
+
+from .batched import BatchEvaluator, BatchItemResult, TokenColumns, codegen_supported
 from .compiled import CompiledSimulator
+from .dsl import parse
 from .errors import PetriError
 from .net import PetriNet, Transition
 from .simulate import SimResult, Simulator
@@ -617,14 +630,27 @@ BatchItem = list[tuple[str, Any, float]]
 #: A batch builder returns a fresh ``(net, sinks)`` pair on every call.
 BatchBuilder = Callable[[], tuple[PetriNet, Sequence[str]]]
 
+#: What a batch item may raise, compared by type and message: engine
+#: errors, and what a delay expression raises (a missing field, a zero
+#: divisor, an operand of the wrong type).
+ITEM_ERRORS = (PetriError, ValueError, LookupError, ArithmeticError, TypeError)
+
 
 @dataclass
 class BatchDiffCase:
-    """One batched-vs-compiled scenario: a net builder plus an item matrix."""
+    """One batched-vs-compiled scenario: a net builder plus an item matrix.
+
+    ``columns`` is the matrix in column form, item for item, when it has
+    one.  ``oracle`` is false when the compiled engine cannot run the
+    items (its event loop never settles on a NaN delay): then only the
+    codegen chain runs them, column items against their triples.
+    """
 
     name: str
     build: BatchBuilder
     items: list[BatchItem]
+    columns: list[TokenColumns] | None = None
+    oracle: bool = True
 
 
 def batch_summarize(result: BatchItemResult) -> tuple:
@@ -653,7 +679,7 @@ def _compiled_item_digest(build: BatchBuilder, item: BatchItem) -> tuple:
         for place, payload, at in item:
             sim.inject(place, payload, at=at)
         result = sim.run()
-    except (PetriError, ValueError) as exc:
+    except ITEM_ERRORS as exc:
         return ("error", type(exc).__name__, str(exc))
     times = {
         sink: [c.time for c in result.completions.get(sink, [])] for sink in sinks
@@ -690,9 +716,34 @@ def item_forms(items: Sequence[BatchItem]) -> dict[str, list[list[tuple]]]:
     }
 
 
+def as_columns(item: BatchItem) -> TokenColumns | None:
+    """The column form of one item: its tokens must share one place and
+    one time, and their payloads be dicts with the same fields in the
+    same order, each field a bool, int or float column (or all ``None``,
+    no fields).  ``None`` otherwise."""
+    if not item:
+        return None
+    place, _, at = item[0]
+    if any(p != place or a != at for p, _, a in item):
+        return None
+    payloads = [payload for _, payload, _ in item]
+    if all(payload is None for payload in payloads):
+        return TokenColumns(place, at, {}, len(item))
+    if any(type(payload) is not dict for payload in payloads):
+        return None
+    names = tuple(payloads[0])
+    if any(tuple(payload) != names for payload in payloads):
+        return None
+    columns = {name: np.array([payload[name] for payload in payloads]) for name in names}
+    if any(col.dtype.kind not in "biuf" for col in columns.values()):
+        return None
+    return TokenColumns(place, at, columns)
+
+
 def compare_batch_engines(case: BatchDiffCase) -> dict[str, list[tuple]]:
     """Assert every batch engine reproduces the compiled baseline on
     *case*, item for item, in every item form (:func:`item_forms`).
+    (:func:`compare_column_items` checks the column form.)
 
     The columnar engine runs always; the codegen engine additionally
     runs when the net is a supported chain.  When the baseline errors on
@@ -727,7 +778,7 @@ def compare_batch_engines(case: BatchDiffCase) -> dict[str, list[tuple]]:
                 evaluator = BatchEvaluator(net, list(sinks), engine=engine)
                 try:
                     evaluator.evaluate(items[: first_error + 1], collect=True)
-                except (PetriError, ValueError) as exc:
+                except ITEM_ERRORS as exc:
                     got_err = ("error", type(exc).__name__, str(exc))
                 else:
                     got_err = ("no-error",)
@@ -742,19 +793,74 @@ def compare_batch_engines(case: BatchDiffCase) -> dict[str, list[tuple]]:
     return out
 
 
+def _batch_item_digest(evaluator: BatchEvaluator, item: Any) -> tuple:
+    """One item evaluated alone, in :func:`batch_summarize` form, or its
+    error's type and message."""
+    try:
+        return ("ok", batch_summarize(evaluator.evaluate([item], collect=True)[0]))
+    except ITEM_ERRORS as exc:
+        return ("error", type(exc).__name__, str(exc))
+
+
+def compare_column_items(case: BatchDiffCase) -> tuple[int, int]:
+    """Assert that every column item of *case* gives, on each batch
+    engine that runs the net, exactly what its own triples give there:
+    the same digest, compared by ``repr`` so NaN and signed zeros count,
+    or the same error type and message.  Each item runs alone, so an
+    error stops nothing.  An ``oracle=False`` case runs on the codegen
+    chain only.
+
+    Returns ``(column items checked, items that ran the codegen
+    recurrence over their delay lists)``.
+    """
+    net, sinks = case.build()
+    engines = ["codegen"] if codegen_supported(net, list(sinks)) else []
+    if case.oracle:
+        engines.insert(0, "columnar")
+    checked = listed = 0
+    for engine in engines:
+        by_columns = BatchEvaluator(*_fresh(case), engine=engine)
+        by_triples = BatchEvaluator(*_fresh(case), engine=engine)
+        for i, item in enumerate(case.columns or ()):
+            before = by_columns.items_from_columns
+            got = _batch_item_digest(by_columns, item)
+            want = _batch_item_digest(by_triples, list(item))
+            if repr(got) != repr(want):
+                raise EngineMismatch(
+                    f"{case.name}[column item {i}] ({engine}): the column item "
+                    f"disagrees with its triples\n  triples: {want!r}\n  columns: {got!r}"
+                )
+            checked += 1
+            listed += by_columns.items_from_columns - before
+    return checked, listed
+
+
+def _fresh(case: BatchDiffCase) -> tuple[PetriNet, list[str]]:
+    net, sinks = case.build()
+    return net, list(sinks)
+
+
 def _interface_batch_case(
     name: str, make_iface: Callable[[], Any], workload: Sequence[Any]
 ) -> BatchDiffCase:
     """Batch case driving an accelerator net through its own tokenizer,
-    one item per workload element — the matrix ``evaluate_batch`` sees."""
+    one item per workload element — the matrix ``evaluate_batch`` sees.
+    Its column form is what the tokenizer returns when that is
+    :class:`TokenColumns`, else the items' :func:`as_columns` when every
+    item has one."""
     iface = make_iface()
-    items = [list(map(tuple, iface.tokenize(w))) for w in workload]
+    tokens = [iface.tokenize(w) for w in workload]
+    items = [list(map(tuple, t)) for t in tokens]
+    columns = [
+        t if type(t) is TokenColumns else as_columns(item)
+        for t, item in zip(tokens, items, strict=True)
+    ]
 
     def build() -> tuple[PetriNet, Sequence[str]]:
         fresh = make_iface()
         return fresh.net, [fresh.sink]
 
-    return BatchDiffCase(name, build, items)
+    return BatchDiffCase(name, build, items, None if None in columns else columns)
 
 
 def accel_batch_cases() -> list[BatchDiffCase]:
@@ -828,6 +934,229 @@ def random_chain_case(seed: int) -> BatchDiffCase:
         start = rng.choice([0.0, 2.0])
         items.append([("in", k, start + k * gap) for k in range(n)])
     return BatchDiffCase(f"chain[{seed}]", build, items)
+
+
+#: Positive ``expr:`` delays over the fields of :func:`_random_columns`,
+#: ``{c}`` a positive constant, ``{m}`` a positive int.
+_DSL_DELAYS = (
+    "{c} + tok['x'] % {m}",
+    "{c} + {c} * tok['y']",
+    "{c} + ({c} if tok['w'] else 0)",
+    "{c} + tok['x'] // {m} + tok['y'] / {m}",
+    "({c} + tok['x']) / {m}",
+    "{c} + (tok['x'] * {c} if tok['x'] > {m} else tok['y'])",
+    "{c} + (12 if (tok['x'] + 1) % {m} == 0 else 0)",
+    "{c} * (1 + (tok['x'] + tok['w']) % {m})",
+)
+
+
+def _random_columns(rng: random.Random, n: int, *, signed: bool = False) -> dict:
+    """Columns ``x`` (int), ``y`` (float, two decimals) and ``w`` (bool)
+    of ``n`` tokens, in a random choice of dtypes; with ``signed``,
+    ``x`` and ``y`` may be negative or zero."""
+    lo = -3 if signed else 0
+    x = [rng.randint(lo, 40) for _ in range(n)]
+    y = [round(rng.uniform(lo, 20.0), 2) for _ in range(n)]
+    int_types = [np.int64, np.int32] + ([] if signed else [np.uint8])
+    return {
+        "x": np.array(x, dtype=rng.choice(int_types)),
+        "y": np.array(y, dtype=rng.choice([np.float64, np.float32])),
+        "w": np.array([rng.random() < 0.5 for _ in range(n)], dtype=bool),
+    }
+
+
+def _expr_chain(name: str, delays: Sequence[str | float], caps: Sequence[int | None]):
+    """A builder for a ``.pnet`` chain ``in -> p0 -> ... -> out`` whose
+    stage ``s`` has delay ``delays[s]`` (an ``expr:`` source, or a
+    constant) and output capacity ``caps[s]``."""
+    lines = [f"net {name}", "place in"]
+    prev = "in"
+    for s, (delay, cap) in enumerate(zip(delays, caps, strict=True)):
+        nxt = "out" if s == len(delays) - 1 else f"p{s}"
+        lines.append(f"place {nxt}" + (f" capacity {cap}" if cap and nxt != "out" else ""))
+        spelled = f"expr: {delay}" if isinstance(delay, str) else repr(delay)
+        lines += [f"transition t{s}", f"  consume {prev}", f"  produce {nxt}", f"  delay {spelled}"]
+        prev = nxt
+    text = "\n".join(lines) + "\n"
+
+    def build() -> tuple[PetriNet, Sequence[str]]:
+        return parse(text), ["out"]
+
+    return build
+
+
+def _column_case(
+    name: str, build: BatchBuilder, columns: list[TokenColumns], **kw: Any
+) -> BatchDiffCase:
+    """A case given in column form; its triple forms are the columns'."""
+    return BatchDiffCase(name, build, [list(c) for c in columns], columns, **kw)
+
+
+def random_dsl_chain_case(seed: int) -> BatchDiffCase:
+    """A seeded random chain whose delays are ``.pnet`` ``expr:`` sources
+    (or constants), over column items: the codegen recurrence over delay
+    lists against the compiled baseline, in column and in triple form.
+    Depth, capacities, injection times and column dtypes vary."""
+    rng = random.Random(2_000_003 * seed + 11)
+    n_stages = rng.randint(1, 4)
+    delays = [
+        rng.choice(_DSL_DELAYS).format(
+            c=rng.choice([1, 2.5, 0.75, 6]), m=rng.randint(2, 7)
+        )
+        if rng.random() < 0.8
+        else rng.choice([0.5, 1.0, 3.25])
+        for _ in range(n_stages)
+    ]
+    caps = [rng.choice([None, None, 1, 2, 4]) for _ in range(n_stages)]
+    columns = [
+        TokenColumns("in", rng.choice([0.0, 2.0, 7.5]), _random_columns(rng, rng.randint(1, 24)))
+        for _ in range(rng.randint(2, 4))
+    ]
+    return _column_case(f"dsl-chain[{seed}]", _expr_chain(f"dsl{seed}", delays, caps), columns)
+
+
+#: Right operands of ``//`` and ``%``: non-zero constants lower, a zero
+#: or a field does not.
+_BY_DIVISORS = ("3", "7", "2.5", "-4", "0.5", "0", "tok['x']")
+
+
+def random_expression(rng: random.Random, depth: int = 3) -> str:
+    """A random ``expr:`` source over ``tok['x']``, ``tok['y']`` and
+    ``tok['w']``: mostly inside the array subset, sometimes just outside
+    it (a call, a chained comparison, a negated field, a field or zero
+    divisor of ``//`` and ``%``)."""
+    if depth == 0 or rng.random() < 0.2:
+        pick = rng.random()
+        if pick < 0.55:
+            return f"tok['{rng.choice('xyw')}']"
+        if pick < 0.8:
+            return str(rng.randint(-3, 12))
+        return repr(round(rng.uniform(-3.0, 12.0), rng.choice([1, 2])))
+    a = random_expression(rng, depth - 1)
+    b = random_expression(rng, depth - 1)
+    pick = rng.random()
+    if pick < 0.4:
+        return f"({a} {rng.choice('+-*')} {b})"
+    if pick < 0.5:
+        return f"({a} / {b})"
+    if pick < 0.65:
+        op = rng.choice(["//", "%"])
+        return f"({a} {op} {rng.choice(_BY_DIVISORS)})"
+    if pick < 0.75:
+        return f"({a} {rng.choice(['<', '<=', '>', '>=', '==', '!='])} {b})"
+    if pick < 0.93:
+        return f"({a} if {random_expression(rng, depth - 1)} else {b})"
+    return rng.choice([f"ceil({a})", f"max({a}, {b})", f"({a} < {b} < 5)", "-tok['x']"])
+
+
+def column_edge_cases() -> list[BatchDiffCase]:
+    """Column items at the edges of the array lowering, each to be
+    checked against its own triples (:func:`compare_column_items`): a
+    column item runs the recurrence over delay lists only when every
+    stage lowered and every delay came out finite and positive, and
+    otherwise exactly as its triples do."""
+    big = 2**53
+
+    def cols(n: int = -1, at: float = 0.0, **fields) -> TokenColumns:
+        return TokenColumns("in", at, {k: np.asarray(v) for k, v in fields.items()}, n)
+
+    signed = _expr_chain("signed", ["tok['d']", 1.0], [2, None])
+    cases = [
+        # The first bad delay in token order decides: a negative delay
+        # raises, a zero delay hands the item to the columnar loop.
+        _column_case(
+            "columns[negative-then-zero]", signed, [cols(d=[2.0, -1.0, 0.0, 3.0])]
+        ),
+        _column_case(
+            "columns[zero-then-negative]", signed, [cols(d=[2.0, 0.0, -1.0, 3.0])]
+        ),
+        _column_case("columns[missing-field]", signed, [cols(e=[1.0, 2.0])]),
+        _column_case(
+            "columns[calls-and-toks]",
+            _expr_chain("calls", ["ceil(tok['d'] / 2)", "1 + len(toks)"], [None, None]),
+            [cols(d=[1.0, 2.5, 7.0])],
+        ),
+        # Python compares an int past 2**53 with a float exactly, float64
+        # does not: 2**53 + 1 falls back, 2**53 itself runs the delay
+        # lists.  A product that could leave 2**53 falls back too (2**32
+        # squared wraps in int64).
+        _column_case(
+            "columns[int-past-2**53]",
+            _expr_chain(
+                "big",
+                [f"1 + tok['d'] % 4 + (2 if tok['d'] > {float(big)!r} else 0)", 1.0],
+                [None, None],
+            ),
+            [
+                cols(d=np.array([big + 1, big], np.int64)),
+                cols(d=np.array([big, big - 1], np.int64)),
+            ],
+        ),
+        _column_case(
+            "columns[int-product-past-2**53]",
+            _expr_chain("product", ["1 + tok['d'] * tok['d'] % 7", 1.0], [None, None]),
+            [cols(d=np.array([2**32, 3], np.int64)), cols(d=np.array([5, 3], np.int64))],
+        ),
+        _column_case(
+            "columns[kinds]",
+            _expr_chain(
+                "kinds",
+                ["1 + tok['b'] + tok['i'] // 2", "0.5 + tok['f'] * tok['b'] + (tok['i'] > 2)"],
+                [1, None],
+            ),
+            [
+                cols(
+                    b=np.array([True, False, True]),
+                    i=np.array([1, 5, 3], dtype=np.int16),
+                    f=np.array([0.25, 1.5, 2.0], dtype=np.float16),
+                ),
+                cols(
+                    b=np.array([False, True]),
+                    i=np.array([7, 0], dtype=np.uint64),
+                    f=np.array([1e-3, 3.0]),
+                ),
+                cols(
+                    b=np.array(["x", "y"], dtype=object),
+                    i=np.array([1, 2]),
+                    f=np.array([1.0, 2.0]),
+                ),
+            ],
+        ),
+        _column_case(
+            "columns[empty]",
+            signed,
+            [cols(d=np.array([], dtype=float)), cols(0), cols(3), cols(d=[1.0], at=-1.0)],
+        ),
+        _column_case(
+            "columns[non-chain]",
+            _two_server_expr,
+            [cols(d=[1.0, 2.0, 0.5]), cols(d=np.array([], dtype=float))],
+        ),
+        # The compiled engine never settles on a NaN delay: codegen only.
+        _column_case(
+            "columns[nan]", signed, [cols(d=[1.0, float("nan"), 2.0])], oracle=False
+        ),
+    ]
+    for seed in range(8):
+        rng = random.Random(3_000_017 * seed + 5)
+        build = _expr_chain(
+            f"rexpr{seed}", [random_expression(rng), "1.5 + tok['x'] % 4"], [2, None]
+        )
+        columns = [
+            TokenColumns("in", 1.0, _random_columns(rng, rng.randint(0, 10), signed=True))
+            for _ in range(3)
+        ]
+        cases.append(_column_case(f"columns[random-expr {seed}]", build, columns))
+    return cases
+
+
+def _two_server_expr() -> tuple[PetriNet, Sequence[str]]:
+    """A one-transition net whose two servers rule out the codegen chain."""
+    net = parse(
+        "net two_server\nplace in\nplace out\n"
+        "transition t\n  consume in\n  produce out\n  delay expr: 1 + tok['d']\n  servers 2\n"
+    )
+    return net, ["out"]
 
 
 def random_structural_batch_case(seed: int) -> BatchDiffCase:
@@ -1011,11 +1340,14 @@ def check_token_payload_routing() -> int:
 
 
 def batch_cases() -> list[BatchDiffCase]:
-    """Every batched parity case: accelerator matrices, random chains
-    (codegen), random structural and keyed nets (columnar), and edge
-    scenarios."""
+    """Every batched parity case the compiled engine can run:
+    accelerator matrices, random chains with callable and with
+    ``expr:`` delays (codegen), random structural and keyed nets
+    (columnar), and edge scenarios, column items among them."""
     cases = accel_batch_cases() + edge_batch_cases()
     cases += [random_chain_case(k) for k in range(12)]
+    cases += [random_dsl_chain_case(k) for k in range(12)]
+    cases += [case for case in column_edge_cases() if case.oracle]
     cases += [random_structural_batch_case(500 + k) for k in range(8)]
     cases += [keyed_batch_case(k) for k in range(12)]
     return cases
@@ -1107,6 +1439,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     n_token = check_token_payload_routing()
     print(f"token payloads OK: {n_token} items ran on the columnar loop of a codegen chain")
+
+    ccases = [case for case in bcases if case.columns is not None]
+    ccases += [case for case in column_edge_cases() if not case.oracle]
+    counts = {case.name: compare_column_items(case) for case in ccases}
+    jpeg_listed = counts["jpeg"][1]
+    print(
+        f"column items OK: {sum(c for c, _ in counts.values())} checked against their "
+        f"triples in {len(ccases)} matrices; {sum(n for _, n in counts.values())} ran "
+        f"the codegen recurrence over delay lists ({jpeg_listed} of them jpeg)"
+    )
+    if not jpeg_listed:
+        raise EngineMismatch(
+            "no jpeg column item ran the codegen recurrence over delay lists: every "
+            "one fell back to its triples"
+        )
     return 0
 
 

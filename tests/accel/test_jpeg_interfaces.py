@@ -109,3 +109,80 @@ class TestPetriNet:
 
     def test_describe_mentions_structure(self, iface):
         assert "places" in iface.describe()
+
+
+#: E4's workload: random images of the default size distribution.
+E4_IMAGES = random_images(2023, 8)
+
+
+def triple_tokens(img):
+    """The per-block ``(place, payload, at)`` triples the tokenizer
+    stands for: one payload dict per 8x8 block."""
+    from repro.accel.jpeg.interfaces import HEADER_PARSE
+
+    n = img.n_blocks
+    sizes, nnzs = img.coded_bytes.tolist(), img.nnz.tolist()
+    return [
+        (
+            "in",
+            {"i": i, "bytes": sizes[i], "nnz": nnzs[i], "wr": (i + 1) % 4 == 0 or i == n - 1},
+            HEADER_PARSE,
+        )
+        for i in range(n)
+    ]
+
+
+class TestTokenColumns:
+    """``tokenize_image`` returns the image's columns; every path that
+    evaluates them agrees bit for bit with the codegen recurrence over
+    delay lists."""
+
+    @pytest.mark.parametrize("img", E4_IMAGES, ids=lambda img: str(img.n_blocks))
+    def test_columns_iterate_to_the_block_triples(self, img):
+        from repro.accel.jpeg.interfaces import tokenize_image
+
+        columns = tokenize_image(img)
+        assert len(columns) == img.n_blocks
+        got, want = list(columns), triple_tokens(img)
+        assert got == want
+        assert [
+            (type(at), [type(v) for v in payload.values()]) for _, payload, at in got
+        ] == [(type(at), [type(v) for v in payload.values()]) for _, payload, at in want]
+
+    def test_every_path_agrees_with_the_column_path(self):
+        from repro.core import PetriNetInterface
+        from repro.obs import Tracer
+        from repro.perf import EvalCache
+        from repro.petri import parse
+
+        want = petri_interface().evaluate_batch(E4_IMAGES)
+
+        iface = petri_interface()
+        assert iface.evaluate_batch(E4_IMAGES) == want
+        engine = iface.batch_evaluator
+        assert engine.items_codegen == engine.items_from_columns == len(E4_IMAGES)
+
+        cached = petri_interface()
+        cached.cache = EvalCache()
+        assert cached.evaluate_batch(E4_IMAGES) == want
+        assert cached.evaluate_batch(E4_IMAGES) == want  # every image a hit
+        assert (cached.cache.stats.misses, cached.cache.stats.hits) == (8, 8)
+
+        traced = petri_interface()
+        traced.tracer = Tracer()  # per-item runs over the columns' triples
+        assert traced.evaluate_batch(E4_IMAGES) == want
+        assert traced.batch_evaluator is None
+
+        assert [petri_interface().latency(img) for img in E4_IMAGES] == want
+        assert [iface.predict_decomposition(img).total for img in E4_IMAGES] == want
+
+        from repro.accel.jpeg.interfaces import EOI_FLUSH, JPEG_PNET
+
+        triples = PetriNetInterface(
+            "jpeg-decoder",
+            net_factory=lambda: parse(JPEG_PNET),
+            tokenize=triple_tokens,
+            epilogue=EOI_FLUSH,
+        )
+        assert triples.evaluate_batch(E4_IMAGES) == want
+        assert triples.batch_evaluator.items_from_columns == 0

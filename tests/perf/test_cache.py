@@ -644,6 +644,22 @@ def test_code_edit_misses_the_persistent_tier(gap, tmp_path: Path):
     assert (hits, misses) == (0, 1) and edited != value
 
 
+def copied_source(tmp_path: Path) -> Path:
+    """A copy of ``src/repro`` under ``tmp_path / "src"``, to edit."""
+    src = tmp_path / "src"
+    shutil.copytree(
+        Path("src/repro"), src / "repro", ignore=shutil.ignore_patterns("__pycache__")
+    )
+    return src
+
+
+def edit_source(src: Path, path: str, old: str, new: str) -> None:
+    module = src / "repro" / path
+    text = module.read_text()
+    assert text.count(old) == 1
+    module.write_text(text.replace(old, new))
+
+
 #: Edits of the code between a tuning candidate and its cycles, in the
 #: order applied: its lowering, then the interface class that answers.
 CANDIDATE_CODE_EDITS = [
@@ -659,22 +675,118 @@ def test_candidate_code_edit_misses_the_persistent_tier(tmp_path: Path):
     ``Candidate.lower`` in the tuner) or of the Petri-net interface
     class that answers (``PetriNetInterface.evaluate_batch``) must miss
     in a fresh process."""
-    src = tmp_path / "src"
-    shutil.copytree(
-        Path("src/repro"), src / "repro", ignore=shutil.ignore_patterns("__pycache__")
-    )
+    src = copied_source(tmp_path)
     run = persisted_runs(tmp_path, PROFILED_CANDIDATE, src=src)
     hits, misses, value = run()
     assert (hits, misses) == (0, 1)
     assert run() == (1, 0, value)
     for path, old, new in CANDIDATE_CODE_EDITS:
-        module = src / "repro" / path
-        text = module.read_text()
-        assert text.count(old) == 1
-        module.write_text(text.replace(old, new))
+        edit_source(src, path, old, new)
         hits, misses, edited = run()
         assert (hits, misses) == (0, 1) and edited != value
         value = edited
+
+
+#: A JPEG image's latency through a cached Petri-net interface, then a
+#: tuning candidate's cycles through a memoized Petri-net tier: two
+#: lookups on one persisted cache, both answered by the Petri engines.
+PETRI_ENGINE_LOOKUPS = """
+from repro.accel.jpeg import interfaces as jpeg
+from repro.accel.jpeg.workload import random_images
+from repro.accel.vta import GemmWorkload, Tiling
+from repro.autotune import Candidate, MemoizedProfiler, PetriProfiler
+
+iface = jpeg.petri_interface()
+iface.cache = cache
+value = iface.evaluate_batch(random_images(seed=5, count=1, min_dim=16, max_dim=48))[0]
+memo = MemoizedProfiler(PetriProfiler(), cache)
+memo.profile_candidates(GemmWorkload(4, 4, 4), [Candidate(Tiling(2, 2, 2))])
+"""
+
+#: Edits of the Petri engines, in the order applied: the result every
+#: batch item returns, then the array lowering of ``expr:`` delays.
+ENGINE_CODE_EDITS = [
+    ("petri/batched.py", "self.makespan = makespan\n", "self.makespan = makespan + 1\n"),
+    ("petri/batched.py", "return fn(a, c), True,", "return fn(a, c) + 1, True,"),
+]
+
+
+def test_engine_code_edit_misses_the_persistent_tier(tmp_path: Path):
+    """Every Petri net key names the engines that run the net, so after
+    an edit of the batch engine — what an item's result holds, or how an
+    ``expr:`` delay is lowered to arrays — a persisted JPEG
+    ``evaluate_batch`` and a persisted Petri-tier candidate both miss in
+    a fresh process."""
+    src = copied_source(tmp_path)
+    run = persisted_runs(tmp_path, PETRI_ENGINE_LOOKUPS, src=src)
+    hits, misses, value = run()
+    assert (hits, misses) == (0, 2)
+    assert run() == (2, 0, value)
+    for path, old, new in ENGINE_CODE_EDITS:
+        edit_source(src, path, old, new)
+        hits, misses, edited = run()
+        assert (hits, misses) == (0, 2) and edited != value
+        value = edited
+
+
+#: One program's cycles through memoized event-model, cycle-accurate and
+#: roofline tiers on one persisted cache; the event model's is printed.
+PROFILED_TIERS = """
+from repro.accel.vta import GemmWorkload, Tiling, tiled_gemm_program
+from repro.autotune import (
+    CycleAccurateProfiler,
+    EventModelProfiler,
+    MemoizedProfiler,
+    RooflineProfiler,
+)
+
+program = tiled_gemm_program(GemmWorkload(4, 4, 4), Tiling(2, 2, 2))
+value = MemoizedProfiler(EventModelProfiler(), cache).profile(program)
+for tier in (CycleAccurateProfiler(), RooflineProfiler()):
+    MemoizedProfiler(tier, cache).profile(program)
+"""
+
+#: Edits of the code a tier answers from, in the order applied, with the
+#: ``(hits, misses)`` of the event-model, tick and roofline lookups after
+#: each: the event model's GEMM service time (the tick simulator takes it
+#: too), the tick simulator's result, the roofline formula.
+TIER_CODE_EDITS = [
+    (
+        "accel/vta/model.py",
+        "return self.config.gemm_setup + insn.gemm_macs",
+        "return 2 * (self.config.gemm_setup + insn.gemm_macs)",
+        (1, 2),
+    ),
+    (
+        "accel/vta/ticksim.py",
+        "cycles=float(max(insn_end)),",
+        "cycles=float(max(insn_end)) + 1,",
+        (2, 1),
+    ),
+    (
+        "accel/vta/interfaces.py",
+        "dispatch) + config.gemm_setup",
+        "dispatch) + 2 * config.gemm_setup",
+        (2, 1),
+    ),
+]
+
+
+def test_tier_code_edit_misses_the_persistent_tier(tmp_path: Path):
+    """The model, tick and roofline tiers key on the code they answer
+    from, beside their config: an edit of that code misses in a fresh
+    process (doubling ``VtaModel.gemm_cycles`` moves the event model's
+    answer from 2465.0 to 2975.0 cycles), and leaves the other tiers'
+    entries hitting."""
+    src = copied_source(tmp_path)
+    run = persisted_runs(tmp_path, PROFILED_TIERS, src=src)
+    assert run() == (0, 3, 2465.0)
+    assert run() == (3, 0, 2465.0)
+    for path, old, new, counts in TIER_CODE_EDITS:
+        edit_source(src, path, old, new)
+        hits, misses, value = run()
+        assert (hits, misses) == counts
+    assert value == 2975.0
 
 
 # ----------------------------------------------------------------------

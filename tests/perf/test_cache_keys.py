@@ -2,8 +2,10 @@
 
 The digests below were recorded when tokenizers still built ``Injection``
 objects; the tokenizers now return plain tuples, and the same keys mean
-that a persisted JSONL cache written before the change still hits.  Any
-later change to the key format must show up here as an explicit diff.
+that a persisted JSONL cache written before the change still hits.  The
+JPEG tokenizer returns ``TokenColumns``, keyed by its arrays, so its
+workload key is not a token list's.  Any later change to the key format
+must show up here as an explicit diff.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ CASES = {
 
 #: SHA-256 of each item's canonical workload features.
 WORKLOAD_KEYS = {
-    "jpeg": "40cb5f47c13554f0c5482aab8bc6b50ac864f07ab296c754697773e87250efcd",
+    "jpeg": "b938784fe76ffc01a9604f9b1b66c0a662fe0e46ce513cdc3f471bcdb7d0cdfe",
     "protoacc": "710ec93f2e255f2d95b277cc7720072f86a7297309f22fd25aa60dbc68704751",
     "optimusprime": "a5c009bec73b1030c84f082fc3a903af9ca17b2e58c24784e1cd7ed734cb04aa",
     "bitcoin": "b4a56fef8d91f9b11cb4e5bc137451c614e3552524da4ee96d89bbf0c3bb3924",
@@ -81,12 +83,14 @@ WORKLOAD_KEYS = {
 #: A DSL expression also keys on the DSL evaluator, the source of
 #: ``repro/petri/dsl.py`` and the names it binds, so any edit of that
 #: file moves the keys of the nets with expressions (all but bitcoin's,
-#: whose delays are constants).
+#: whose delays are constants).  Every net also keys on the engines that
+#: run it, the sources of ``repro/petri/simulate.py``, ``compiled.py``
+#: and ``batched.py``, so any edit of those files moves all four.
 STORE_KEYS = {
-    "jpeg": "7591491bba62cba2bff58b40e29389077772e8b9bf267665f03641809b04cd5d",
-    "protoacc": "d9b06bd5ec24d12fd9016fc6fe5d253bbfead5363358c892710225d044edbb81",
-    "optimusprime": "6efe7b84891eb4fcfbb5cf72d252614410bcb8dc4a906bdb91ff5ba557fe0f23",
-    "bitcoin": "0d3608c0788b927ddfad743331c300b57248512beec2a08a96c7babdcd59723a",
+    "jpeg": "e160275b1a7335c3063350aefbdfab48cc8a285a6c31c1d66a16ed3ccf1e3af1",
+    "protoacc": "dbf64d8ecbcc61f518ee5ee9c392dc6c39a2cacfb95efac57a422b150f122978",
+    "optimusprime": "9cf47a2c33786924f68d8c1421d98dc42231d7251a94e97db1a1075def857fa0",
+    "bitcoin": "dc78a295d3de6b3a327f503199dafcf8a2b3b79b1984dcbdeb04c1fd575f2254",
 }
 
 #: SHA-256 of a tuning candidate's features, ``(GemmWorkload, Candidate)``

@@ -5,6 +5,10 @@ families — the same harness the CI engine-parity job runs — so a local
 ``pytest`` failure and a CI failure point at the same digest diff.
 """
 
+import math
+import random
+
+import numpy as np
 import pytest
 
 from repro.petri import (
@@ -12,25 +16,33 @@ from repro.petri import (
     CompiledNet,
     CompiledSimulator,
     PetriNet,
+    TokenColumns,
     chain_spec,
     chain_unsupported_reasons,
     codegen_supported,
     parse,
 )
+from repro.petri.batched import _array_delay, _column_env, _Unfit
 from repro.petri.compiled import PlanLoop
 from repro.petri.differential import (
+    _random_columns,
     accel_batch_cases,
     batch_cases,
     batch_summarize,
     check_token_payload_routing,
+    column_edge_cases,
     compare_batch_engines,
+    compare_column_items,
     edge_batch_cases,
     item_forms,
     keyed_batch_case,
     keyed_parts,
     random_chain_case,
+    random_dsl_chain_case,
+    random_expression,
     random_structural_batch_case,
 )
+from repro.petri.dsl import _SAFE_GLOBALS
 from repro.petri.errors import CapacityError, DeadlineError, DefinitionError, SimulationError
 
 CHAIN_PNET = """\
@@ -426,3 +438,151 @@ def test_per_item_runs_and_batch_items_share_one_loop(monkeypatch):
     loop = compiled.plan_loop(["out"])
     assert len(ran) == 3 + 3 * len(SHARED_ITEMS)
     assert all(r is loop for r in ran)
+
+
+# ----------------------------------------------------------------------
+# Column items
+# ----------------------------------------------------------------------
+
+
+def test_token_columns_iterate_to_their_triples():
+    cols = TokenColumns(
+        "in",
+        2.5,
+        {"x": np.array([3, 1], dtype=np.int32), "w": np.array([True, False])},
+    )
+    assert len(cols) == 2
+    triples = list(cols)
+    assert triples == [("in", {"x": 3, "w": True}, 2.5), ("in", {"x": 1, "w": False}, 2.5)]
+    assert [type(v) for v in triples[0][1].values()] == [int, bool]
+    assert triples[0][1] is not triples[1][1]  # a fresh payload per token
+    assert list(TokenColumns("in", 0.0, {}, 3)) == [("in", {}, 0.0)] * 3
+    with pytest.raises(ValueError, match="token count"):
+        TokenColumns("in", 0.0, {})
+    with pytest.raises(ValueError, match="length 2"):
+        TokenColumns("in", 0.0, {"x": np.arange(2), "y": np.arange(3)})
+    with pytest.raises(ValueError, match="1-D"):
+        TokenColumns("in", 0.0, {"x": np.zeros((2, 2))})
+
+
+def test_only_the_array_subset_lowers():
+    lowers = [
+        "6 + 8.0 * tok['b'] + 0.875 + (12 if (tok['i'] + 1) % 64 == 0 else 0)",
+        "134 + tok['n'] // 16",
+        "32 + (33.7 if tok['w'] else 0)",
+        "tok['a'] / tok['b'] - -2",
+        "(tok['a'] <= 3) * 2.5",
+    ]
+    assert all(_array_delay(src) is not None for src in lowers)
+    assert _array_delay(lowers[0]).fields == {"b", "i"}
+    outside = [
+        "ceil(tok['a'])",
+        "max(tok['a'], 1)",
+        "len(toks)",
+        "tok['a'] ** 2",
+        "-tok['a']",
+        "tok['a'] // tok['b']",
+        "tok['a'] % 0",
+        "1 < tok['a'] < 3",
+        "tok['a'] and 1",
+        "tok[0]",
+        "True + tok['a']",
+        f"tok['a'] + {2**53 + 1}",
+    ]
+    assert [src for src in outside if _array_delay(src) is not None] == []
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_lowered_expressions_equal_the_per_token_values(seed):
+    """Element for element, a lowered expression gives the float the
+    per-token evaluation gives (by repr: signed zeros, NaN and infinities
+    count), or the item falls back."""
+    rng = random.Random(seed)
+    scope = dict(_SAFE_GLOBALS)
+    for _ in range(25):
+        src = random_expression(rng, depth=rng.randint(1, 4))
+        lowered = _array_delay(src)
+        if lowered is None:
+            continue
+        columns = _random_columns(rng, rng.randint(1, 12), signed=True)
+        try:
+            with np.errstate(all="ignore"):
+                got = lowered.evaluate(_column_env(columns, lowered.fields))[0]
+        except _Unfit:
+            continue
+        n = len(columns["x"])
+        got = np.broadcast_to(np.asarray(got, dtype=np.float64), (n,)).tolist()
+        code = compile(src, "<expr>", "eval")
+        for k, (_, payload, _) in enumerate(TokenColumns("in", 0.0, columns)):
+            want = float(eval(code, {**scope, "tok": payload}))  # noqa: S307
+            assert repr(got[k]) == repr(want), (src, payload)
+
+
+def test_integers_past_2_53_fall_back():
+    lowered = _array_delay("1 + tok['d'] % 4")
+    env = _column_env({"d": np.array([2**53, 3])}, lowered.fields)
+    assert lowered.evaluate(env)[0].tolist() == [1, 4]
+    with pytest.raises(_Unfit):
+        _column_env({"d": np.array([2**53 + 1])}, lowered.fields)
+    with pytest.raises(_Unfit):  # int arithmetic that could leave 2**53
+        product = _array_delay("tok['d'] * tok['d']")
+        product.evaluate(_column_env({"d": np.array([2**27])}, product.fields))
+    for bad in (np.array(["a"], dtype=object), np.array([1 + 2j])):
+        with pytest.raises(_Unfit):
+            _column_env({"d": bad}, lowered.fields)
+    with pytest.raises(_Unfit):
+        _column_env({"e": np.array([1])}, lowered.fields)
+
+
+@pytest.mark.parametrize("case", column_edge_cases(), ids=lambda c: c.name)
+def test_column_items_match_their_triples(case):
+    compare_column_items(case)
+    if case.oracle:
+        compare_batch_engines(case)
+
+
+def test_column_edge_routing():
+    """Which edge items ran the recurrence over delay lists (counted
+    once, on the codegen chain)."""
+    listed = {case.name: compare_column_items(case)[1] for case in column_edge_cases()}
+    assert listed["columns[int-past-2**53]"] == 1  # 2**53 lowers, 2**53 + 1 does not
+    assert listed["columns[int-product-past-2**53]"] == 1
+    assert listed["columns[kinds]"] == 2  # bool, int and float lower; object does not
+    assert listed["columns[empty]"] == 2  # the two empty items on the entry place
+    for name in (
+        "columns[negative-then-zero]",
+        "columns[zero-then-negative]",
+        "columns[missing-field]",
+        "columns[calls-and-toks]",
+        "columns[non-chain]",
+        "columns[nan]",
+    ):
+        assert listed[name] == 0, name
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_dsl_chain_batch_parity(seed):
+    case = random_dsl_chain_case(seed)
+    digests = compare_batch_engines(case)
+    assert "codegen" in digests
+    assert all(d[0] == "ok" for d in digests["codegen"])
+    checked, listed = compare_column_items(case)
+    assert listed == len(case.columns) == checked // 2  # every item ran the lists
+
+
+def test_shipped_chain_matrices_run_in_column_form():
+    by_name = {case.name: case for case in accel_batch_cases()}
+    assert by_name["vta"].columns is None  # tokens on many places
+    for name in ("jpeg", "bitcoin[loop=8]", "protoacc", "optimusprime"):
+        case = by_name[name]
+        checked, listed = compare_column_items(case)
+        assert listed == len(case.columns) == checked // 2, name
+
+
+def test_a_nan_delay_runs_as_its_triples():
+    [case] = [c for c in column_edge_cases() if c.name == "columns[nan]"]
+    net, sinks = case.build()
+    evaluator = BatchEvaluator(net, sinks)
+    [result] = evaluator.evaluate(case.columns, collect=True)
+    assert evaluator.items_codegen == 1 and evaluator.items_from_columns == 0
+    assert math.isnan(result.completion_times["out"][1])
